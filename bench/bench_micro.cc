@@ -194,11 +194,9 @@ void BM_DispatchUltYield(benchmark::State& state) {
 BENCHMARK(BM_DispatchUltYield);
 
 // ---- converse messaging fast path ----
-// Whole-machine throughput/latency of the send→enqueue→dispatch path, run
-// twice: once through the pre-rewrite mutex-per-message baseline
-// (Config::mutex_baseline) and once through the lock-free fast path. The
-// before/after rows are recorded in BENCH_converse.json so the messaging
-// perf trajectory is tracked across PRs.
+// Whole-machine throughput/latency of the lock-free send→enqueue→dispatch
+// path. The rows are recorded in BENCH_converse.json so the messaging perf
+// trajectory is tracked across PRs.
 
 namespace conv_bench {
 
@@ -247,7 +245,7 @@ void ensure_handlers() {
   });
 }
 
-cv::Machine::Config bench_config(int npes, bool baseline) {
+cv::Machine::Config bench_config(int npes) {
   cv::Machine::Config cfg;
   cfg.npes = npes;
   cfg.iso_slots_per_pe = 0;  // no migratable heaps needed; boot faster
@@ -255,7 +253,6 @@ cv::Machine::Config bench_config(int npes, bool baseline) {
   // thread runs; size the freelist to the storm's in-flight peak so the
   // steady state stays allocation-free.
   cfg.pool_cap = 1 << 16;
-  cfg.mutex_baseline = baseline;
   return cfg;
 }
 
@@ -263,11 +260,10 @@ cv::Machine::Config bench_config(int npes, bool baseline) {
 /// each for `msgs_per_ball` messages. window=1 is the classic 1-deep
 /// latency pingpong; a deeper window measures per-message cost with the
 /// batched drain amortizing wakeups.
-mfc::bench::MsgBenchRow run_pingpong(const char* name, int npes,
-                                     bool baseline, int window,
+mfc::bench::MsgBenchRow run_pingpong(const char* name, int npes, int window,
                                      int msgs_per_ball) {
   ensure_handlers();
-  cv::Machine::run(bench_config(npes, baseline), [&](int pe) {
+  cv::Machine::run(bench_config(npes), [&](int pe) {
     cv::barrier();
     if (pe == 0) g_t0 = mfc::wall_time();
     if (pe % 2 == 0) {
@@ -281,7 +277,7 @@ mfc::bench::MsgBenchRow run_pingpong(const char* name, int npes,
     cv::barrier();
     if (pe == 0) g_t1 = mfc::wall_time();
   });
-  return {name, baseline ? "mutex_baseline" : "lockfree", npes,
+  return {name, "lockfree", npes,
           static_cast<std::uint64_t>(window) *
               static_cast<std::uint64_t>(msgs_per_ball) *
               static_cast<std::uint64_t>(npes / 2),
@@ -292,10 +288,9 @@ mfc::bench::MsgBenchRow run_pingpong(const char* name, int npes,
 /// suspends until it has received all npes*per_pe deliveries (its own
 /// broadcasts included, so the count cannot hit zero before the main thread
 /// has issued them all and suspended); npes*npes*per_pe messages total.
-mfc::bench::MsgBenchRow run_broadcast_storm(int npes, bool baseline,
-                                            int per_pe) {
+mfc::bench::MsgBenchRow run_broadcast_storm(int npes, int per_pe) {
   ensure_handlers();
-  cv::Machine::run(bench_config(npes, baseline), [&](int pe) {
+  cv::Machine::run(bench_config(npes), [&](int pe) {
     g_waiter[pe] = cv::pe_scheduler().running();
     g_balls_left[pe].store(npes * per_pe);
     cv::barrier();
@@ -323,7 +318,7 @@ mfc::bench::MsgBenchRow run_broadcast_storm(int npes, bool baseline,
     cv::barrier();
     if (pe == 0) g_t1 = mfc::wall_time();
   });
-  return {"broadcast_storm", baseline ? "mutex_baseline" : "lockfree", npes,
+  return {"broadcast_storm", "lockfree", npes,
           static_cast<std::uint64_t>(npes) * static_cast<std::uint64_t>(npes) *
               static_cast<std::uint64_t>(per_pe),
           g_t1 - g_t0};
@@ -331,9 +326,9 @@ mfc::bench::MsgBenchRow run_broadcast_storm(int npes, bool baseline,
 
 /// Self-send throughput: every PE runs a chain of `chain` handler-issued
 /// sends to itself (the inline local-delivery path).
-mfc::bench::MsgBenchRow run_selfsend(int npes, bool baseline, int chain) {
+mfc::bench::MsgBenchRow run_selfsend(int npes, int chain) {
   ensure_handlers();
-  cv::Machine::run(bench_config(npes, baseline), [&](int pe) {
+  cv::Machine::run(bench_config(npes), [&](int pe) {
     cv::barrier();
     if (pe == 0) g_t0 = mfc::wall_time();
     g_waiter[pe] = cv::pe_scheduler().running();
@@ -342,7 +337,7 @@ mfc::bench::MsgBenchRow run_selfsend(int npes, bool baseline, int chain) {
     cv::barrier();
     if (pe == 0) g_t1 = mfc::wall_time();
   });
-  return {"selfsend", baseline ? "mutex_baseline" : "lockfree", npes,
+  return {"selfsend", "lockfree", npes,
           static_cast<std::uint64_t>(chain + 1) *
               static_cast<std::uint64_t>(npes),
           g_t1 - g_t0};
@@ -381,34 +376,25 @@ void run_converse_suite() {
   constexpr int kBcastPerPe = 20000;
   constexpr int kSelfChain = 100000;
 
-  std::printf("# converse messaging fast path: lock-free vs mutex baseline "
-              "(npes=%d, median of %d)\n",
+  std::printf("# converse messaging fast path (npes=%d, median of %d)\n",
               kNpes, kReps);
   std::vector<mfc::bench::MsgBenchRow> rows;
-  for (const bool baseline : {true, false}) {
-    rows.push_back(median_of(kReps, [&] {
-      return run_pingpong("pingpong", kNpes, baseline, kWindow, kMsgsPerBall);
-    }));
-    print_row(rows.back());
-    rows.push_back(median_of(kReps, [&] {
-      return run_pingpong("pingpong_1deep", kNpes, baseline, 1, kOneDeepMsgs);
-    }));
-    print_row(rows.back());
-    rows.push_back(median_of(kReps, [&] {
-      return run_broadcast_storm(kStormNpes, baseline, kBcastPerPe);
-    }));
-    print_row(rows.back());
-    rows.push_back(median_of(kReps, [&] {
-      return run_selfsend(kNpes, baseline, kSelfChain);
-    }));
-    print_row(rows.back());
-  }
-  for (std::size_t i = 0; i < rows.size() / 2; ++i) {
-    const auto& before = rows[i];
-    const auto& after = rows[i + rows.size() / 2];
-    std::printf("# %-16s speedup: %.2fx\n", before.name.c_str(),
-                after.msgs_per_sec() / before.msgs_per_sec());
-  }
+  rows.push_back(median_of(kReps, [&] {
+    return run_pingpong("pingpong", kNpes, kWindow, kMsgsPerBall);
+  }));
+  print_row(rows.back());
+  rows.push_back(median_of(kReps, [&] {
+    return run_pingpong("pingpong_1deep", kNpes, 1, kOneDeepMsgs);
+  }));
+  print_row(rows.back());
+  rows.push_back(median_of(kReps, [&] {
+    return run_broadcast_storm(kStormNpes, kBcastPerPe);
+  }));
+  print_row(rows.back());
+  rows.push_back(median_of(kReps, [&] {
+    return run_selfsend(kNpes, kSelfChain);
+  }));
+  print_row(rows.back());
   if (!mfc::bench::write_msg_bench_json("BENCH_converse.json",
                                         "converse_messaging", rows)) {
     std::fprintf(stderr, "warning: could not write BENCH_converse.json\n");
@@ -502,14 +488,13 @@ void run_trace_suite() {
   // below is the worst case — the ~70 ns/msg inline fast path where three
   // timestamped events cost a visible fraction by construction.
   const double pingpong_pct = paired_overhead_pct(kReps, 2, [&] {
-    return run_pingpong("pingpong", 2, false, 1, kOneDeepMsgs);
+    return run_pingpong("pingpong", 2, 1, kOneDeepMsgs);
   }, rows);
   const double windowed_pct = paired_overhead_pct(kReps, kNpes, [&] {
-    return run_pingpong("pingpong_windowed", kNpes, false, kWindow,
-                        kMsgsPerBall);
+    return run_pingpong("pingpong_windowed", kNpes, kWindow, kMsgsPerBall);
   }, rows);
   const double bcast_pct = paired_overhead_pct(kReps, kNpes, [&] {
-    return run_broadcast_storm(kNpes, false, kBcastPerPe);
+    return run_broadcast_storm(kNpes, kBcastPerPe);
   }, rows);
   std::printf("# %-16s tracing-on overhead (cpu): %s%%\n", "pingpong",
               mfc::format_double(pingpong_pct, 1).c_str());
@@ -586,14 +571,13 @@ void run_obs_suite() {
       kReps, kNpes);
   std::vector<mfc::bench::MsgBenchRow> rows;
   const double pingpong_pct = paired_hist_overhead_pct(kReps, 2, [&] {
-    return run_pingpong("pingpong", 2, false, 1, kOneDeepMsgs);
+    return run_pingpong("pingpong", 2, 1, kOneDeepMsgs);
   }, rows);
   const double windowed_pct = paired_hist_overhead_pct(kReps, kNpes, [&] {
-    return run_pingpong("pingpong_windowed", kNpes, false, kWindow,
-                        kMsgsPerBall);
+    return run_pingpong("pingpong_windowed", kNpes, kWindow, kMsgsPerBall);
   }, rows);
   const double bcast_pct = paired_hist_overhead_pct(kReps, kNpes, [&] {
-    return run_broadcast_storm(kNpes, false, kBcastPerPe);
+    return run_broadcast_storm(kNpes, kBcastPerPe);
   }, rows);
   std::printf("# %-16s histograms-on overhead (cpu): %s%%\n", "pingpong",
               mfc::format_double(pingpong_pct, 1).c_str());
@@ -785,7 +769,7 @@ void run_ftx_suite() {
 //  1. Thread-image codec byte rate, blob vs iovec. The legacy shipping
 //     path serializes a parked thread in three passes over the payload —
 //     pack() memcpy's each run into the ThreadImage, pup::to_bytes copies
-//     the image onto the wire, and the checkpoint/relay layer CRCs the
+//     the image onto the wire, and the checkpoint layer CRCs the
 //     result. The manifest path gathers the live runs straight onto the
 //     wire, folding the CRC-32C per run as it copies: one pass. The rows
 //     measure end-to-end "parked thread -> CRC'd wire bytes" throughput

@@ -10,7 +10,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "chaos/proc_transport.h"
 #include "charm/array.h"
 #include "converse/machine.h"
 #include "ft/ft.h"
@@ -58,7 +57,6 @@ constexpr std::size_t kCanaryBytes = 192;
 constexpr std::uint64_t kItinSalt = 0x61f3a2c8d94be071ULL;
 constexpr std::uint64_t kStackSalt = 0x8d1a9f30c27e5b44ULL;
 constexpr std::uint64_t kHeapSalt = 0x2be4c6d8f0a19375ULL;
-constexpr std::uint64_t kShipSalt = 0xa7c41d92e85f3b06ULL;
 constexpr std::uint64_t kTrafficSalt = 0x54e8b16f9d03ca27ULL;
 
 bool trace_on() {
@@ -162,9 +160,6 @@ struct StormGlobal {
   };
   std::unordered_map<int, std::vector<Arrival>> arrived;  // per PE
   std::vector<ult::Thread*> mains;  // non-PE0 mains parked until alldone
-
-  ProcTransport* transport = nullptr;
-  std::mutex transport_mu;  // the relay handles one shipment at a time
 
   // PE0-only protocol state (PE0 kernel thread: its handlers + main ULT).
   int arrivals = 0;
@@ -459,45 +454,11 @@ void handle_dock(converse::Message&& m) {
   const int dest = g->itinerary[static_cast<std::size_t>(d.wid)]
                                [static_cast<std::size_t>(d.round)];
 
-  if (g->transport != nullptr) {
-    // Relay round-trip needs the image as one contiguous buffer anyway, so
-    // this path keeps the gathering pack (and can survive injected relay
-    // deaths, keyed by (worker, round) so the kill pattern replays).
-    const std::uint64_t e2e0 = hist::on() ? rdtsc() : 0;
-    migrate::ThreadImage image = t->pack();
-    delete t;  // pack() consumed it; only the image represents the worker now
-
-    ShipMsg ship;
-    ship.wid = d.wid;
-    ship.round = d.round;
-    ship.stamp = e2e0;
-    ship.wire = pup::to_bytes(image);
-    ship.digest = fnv1a(ship.wire.data(), ship.wire.size());
-    g->wire_bytes.fetch_add(ship.wire.size(), std::memory_order_relaxed);
-
-    const std::uint64_t key =
-        mix2(g->opt.seed ^ kShipSalt,
-             static_cast<std::uint64_t>(d.wid) * 1000003ULL +
-                 static_cast<std::uint64_t>(d.round));
-    std::lock_guard<std::mutex> lock(g->transport_mu);
-    std::vector<char> echoed = g->transport->roundtrip(ship.wire, key);
-    if (echoed.size() != ship.wire.size() ||
-        fnv1a(echoed.data(), echoed.size()) != ship.digest) {
-      g->digest_mismatches.fetch_add(1, std::memory_order_relaxed);
-      trace::flight::dump("storm-relay-digest-mismatch");
-    } else {
-      ship.wire = std::move(echoed);
-    }
-    g->thread_migrations.fetch_add(1, std::memory_order_relaxed);
-    converse::send_value(dest, h_ship, ship);
-    return;
-  }
-
   // Scatter-gather ship: serialize the manifest's span list straight into
   // the wire (in-process: one gather into the delivery envelope; shm/socket:
   // ring frames / writev) — no intermediate contiguous image is ever built.
-  // The byte stream is identical to the ShipMsg encoding above, so
-  // handle_ship cannot tell the paths apart. The destructive pack epilogue
+  // The byte stream is the ShipMsg encoding of the gathered image, so
+  // handle_ship decodes it as a ShipMsg. The destructive pack epilogue
   // runs in on_consumed, which the send contract orders strictly before the
   // message can be delivered — even a same-process unpack at the same
   // isomalloc addresses cannot race the evacuation.
@@ -1156,10 +1117,6 @@ StormReport run_storm(const StormOptions& options) {
       ++ckpt_ordinal;
     }
   }
-  // Fork the relay before the PE threads exist (single-threaded fork is
-  // clean; chaos-driven respawns later fork from a multithreaded parent,
-  // which the relay child is written to tolerate).
-  if (options.use_proc_transport) g->transport = new ProcTransport();
   g_storm = g.get();
 
   // Own a trace session unless the caller already holds one. Starting it
@@ -1246,10 +1203,6 @@ StormReport run_storm(const StormOptions& options) {
     rep.ft_async_chunks = metrics::total(metrics::Counter::kFtAsyncChunks);
     rep.ft_dirty_pages = metrics::total(metrics::Counter::kFtDirtyPages);
     ft::uninstall();
-  }
-  if (g->transport != nullptr) {
-    rep.transport_respawns = g->transport->respawns();
-    delete g->transport;
   }
   g_storm = nullptr;
   return rep;

@@ -4,9 +4,8 @@
 // across all three migration techniques (stack-copy, isomalloc, memalias) —
 // migrates every round along seed-derived itineraries while a chare array
 // delivers ttl-forwarded pings (and storms its own elements between PEs),
-// all optionally under chaos fault injection and with each thread image
-// optionally round-tripped through a forked relay process that chaos can
-// kill mid-shipment.
+// all optionally under chaos fault injection. Every thread image ships
+// through the scatter-gather send path production migration uses.
 //
 // After every round the driver quiesces the machine and runs invariant
 // checkers: stack/heap canaries and stack-address stability (verified by
@@ -49,9 +48,6 @@ struct StormOptions {
   int array_pings = 4;
   int ping_ttl = 3;
   bool element_migration = true;  ///< storm the array elements too
-  /// Round-trip every packed thread image through the forked relay
-  /// (Point::kTransportKill becomes live).
-  bool use_proc_transport = false;
   /// Machine wire transport for the storm (loopback mode, nprocs == 1):
   /// 0 = in-process queues, 1 = shm rings, 2 = sockets. With 1/2 every
   /// cross-PE message — including the scatter-gather thread-image ships —
@@ -111,7 +107,6 @@ struct StormReport {
   std::uint64_t element_migrations = 0;
   std::uint64_t pings_delivered = 0;
   std::uint64_t wire_bytes = 0;  ///< serialized thread-image bytes shipped
-  std::uint64_t transport_respawns = 0;
   std::uint64_t injections[kPointCount] = {};
 
   // Invariant-checker verdicts (all must be zero / true for a clean storm).

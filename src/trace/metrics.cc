@@ -53,7 +53,6 @@ const char* to_string(Counter c) {
     case Counter::kElemMigrations: return "elem-migrations";
     case Counter::kLbMigrations: return "lb-migrations";
     case Counter::kChaosInjections: return "chaos-injections";
-    case Counter::kTransportRespawns: return "transport-respawns";
     case Counter::kFtSent: return "ft-sent";
     case Counter::kFtDelivered: return "ft-delivered";
     case Counter::kFtCheckpoints: return "ft-checkpoints";

@@ -37,7 +37,6 @@ enum class Counter : int {
   kElemMigrations,  ///< chare-array element departures
   kLbMigrations,    ///< migrations ordered by the LB strategy
   kChaosInjections,
-  kTransportRespawns,  ///< chaos proc-transport child respawns
   // Fault tolerance (ft layer). Sent/delivered mirror the QD pair: FT
   // protocol traffic is subtracted from the app books so checkpoints and
   // recovery never perturb quiescence accounting.

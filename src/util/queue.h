@@ -1,18 +1,15 @@
-// Inter-PE message queues for the converse machine layer.
+// Inter-PE message channel for the converse machine layer.
 //
-// MpscQueue: multiple-producer single-consumer queue. Producers are remote
-// PEs (kernel threads) delivering messages; the consumer is the owning PE's
-// scheduler loop. The implementation is lock-free on the hot path: producers
-// CAS onto a LIFO "inbox" list, and the consumer swaps the whole inbox out
-// in one exchange and reverses it into a FIFO batch it then serves privately
-// (the "swap-the-deque" batched MPSC). A mutex + condition variable pair
-// survives only as an idle/parking backstop: the consumer parks after a
-// bounded spin, and producers skip the notify syscall entirely unless a
-// consumer is actually parked.
-//
-// MutexMpscQueue is the original mutex+CV implementation, kept as the
-// measured baseline for the messaging benchmarks (bench_micro's converse
-// suite runs the machine in both modes and reports the speedup).
+// IntrusiveMpscChannel: multiple-producer single-consumer channel of
+// pointer items. Producers are remote PEs (kernel threads) delivering
+// messages; the consumer is the owning PE's scheduler loop. The
+// implementation is lock-free on the hot path: producers CAS onto a LIFO
+// "inbox" list, and the consumer swaps the whole inbox out in one exchange
+// and reverses it into a FIFO batch it then serves privately (the
+// "swap-the-deque" batched MPSC). A mutex + condition variable pair survives
+// only as an idle/parking backstop: the consumer parks after a bounded
+// spin, and producers skip the notify syscall entirely unless a consumer is
+// actually parked.
 #pragma once
 
 #include <atomic>
@@ -20,12 +17,8 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <mutex>
-#include <optional>
 #include <thread>
-#include <utility>
-#include <vector>
 
 namespace mfc {
 
@@ -51,7 +44,7 @@ inline int spin_iters_before_park() {
 /// data appear without paying the futex sleep/wake round trip.
 constexpr int kYieldRoundsBeforePark = 4;
 
-/// Consumer parking shared by the MPSC queues. The handshake is
+/// Consumer parking for the MPSC channel. The handshake is
 /// Dekker-style: the consumer publishes `parked_` (seq_cst) and then
 /// re-checks the queue; a producer publishes its item (seq_cst RMW) and then
 /// reads `parked_`. One of the two must observe the other, so a push can
@@ -124,124 +117,10 @@ class Parker {
 
 }  // namespace detail
 
-template <typename T>
-class MpscQueue {
- public:
-  MpscQueue() = default;
-  MpscQueue(const MpscQueue&) = delete;
-  MpscQueue& operator=(const MpscQueue&) = delete;
-
-  ~MpscQueue() {
-    Node* n = inbox_.load(std::memory_order_relaxed);
-    while (n != nullptr) {
-      Node* next = n->next;
-      delete n;
-      n = next;
-    }
-  }
-
-  /// Lock-free; callable from any thread.
-  void push(T item) {
-    Node* n = new Node{nullptr, std::move(item)};
-    Node* head = inbox_.load(std::memory_order_relaxed);
-    do {
-      n->next = head;
-    } while (!inbox_.compare_exchange_weak(head, n, std::memory_order_seq_cst,
-                                           std::memory_order_relaxed));
-    size_.fetch_add(1, std::memory_order_relaxed);
-    parker_.unpark_if_parked();
-  }
-
-  /// Non-blocking pop; empty optional when the queue is empty.
-  /// Consumer thread only.
-  std::optional<T> try_pop() {
-    if (batch_pos_ == batch_.size() && !refill()) return std::nullopt;
-    T item = std::move(batch_[batch_pos_++]);
-    if (batch_pos_ == batch_.size()) {
-      batch_.clear();
-      batch_pos_ = 0;
-    }
-    size_.fetch_sub(1, std::memory_order_relaxed);
-    return item;
-  }
-
-  /// Blocking pop: bounded spin, then parks until an item arrives or wake()
-  /// is called. May return an empty optional on a wake() or a spurious
-  /// unpark with no data; callers loop. Consumer thread only.
-  std::optional<T> pop_wait() {
-    if (auto v = try_pop()) return v;
-    for (int i = detail::spin_iters_before_park(); i > 0; --i) {
-      detail::cpu_relax();
-      if (auto v = try_pop()) return v;
-    }
-    for (int i = 0; i < detail::kYieldRoundsBeforePark; ++i) {
-      std::this_thread::yield();
-      if (auto v = try_pop()) return v;
-    }
-    parker_.park([this] {
-      return inbox_.load(std::memory_order_seq_cst) != nullptr;
-    });
-    return try_pop();
-  }
-
-  /// Pops and invokes `fn` on every available item (one inbox grab serves
-  /// the whole batch). Returns the number drained. Consumer thread only.
-  template <typename Fn>
-  std::size_t drain(Fn&& fn) {
-    std::size_t n = 0;
-    while (auto v = try_pop()) {
-      fn(std::move(*v));
-      ++n;
-    }
-    return n;
-  }
-
-  /// Wakes a blocked pop_wait() without delivering data (used for shutdown
-  /// and for "work became available locally" notifications).
-  void wake() { parker_.wake(); }
-
-  /// Approximate when racing concurrent producers; exact once they settle.
-  bool empty() const { return size_.load(std::memory_order_acquire) == 0; }
-  std::size_t size() const { return size_.load(std::memory_order_acquire); }
-
- private:
-  struct Node {
-    Node* next;
-    T value;
-  };
-
-  /// Swaps the inbox out and reverses it into FIFO order in batch_.
-  bool refill() {
-    Node* chain = inbox_.exchange(nullptr, std::memory_order_acquire);
-    if (chain == nullptr) return false;
-    Node* prev = nullptr;  // reverse: inbox is newest-first
-    while (chain != nullptr) {
-      Node* next = chain->next;
-      chain->next = prev;
-      prev = chain;
-      chain = next;
-    }
-    while (prev != nullptr) {
-      batch_.push_back(std::move(prev->value));
-      Node* next = prev->next;
-      delete prev;
-      prev = next;
-    }
-    return true;
-  }
-
-  alignas(64) std::atomic<Node*> inbox_{nullptr};
-  alignas(64) std::atomic<std::size_t> size_{0};
-  // Consumer-private drained batch, served in FIFO order.
-  alignas(64) std::vector<T> batch_;
-  std::size_t batch_pos_ = 0;
-  detail::Parker parker_;
-};
-
 /// Intrusive MPSC channel for pointer items that carry their own link
 /// (T must expose a `T* next` member). Zero allocation per push — the links
 /// live in the items themselves, which the converse layer recycles through
-/// per-PE message pools. Same swap-list batching and parking as MpscQueue.
+/// per-PE message pools.
 template <typename T>
 class IntrusiveMpscChannel {
  public:
@@ -327,62 +206,6 @@ class IntrusiveMpscChannel {
   // Consumer-private drained chain in FIFO order.
   alignas(64) T* batch_ = nullptr;
   detail::Parker parker_;
-};
-
-/// The pre-rewrite mutex+CV MPSC queue, kept as the measured baseline for
-/// the converse messaging benchmarks (Machine::Config::mutex_baseline).
-template <typename T>
-class MutexMpscQueue {
- public:
-  void push(T item) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      items_.push_back(std::move(item));
-    }
-    cv_.notify_one();
-  }
-
-  std::optional<T> try_pop() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
-  std::optional<T> pop_wait() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return !items_.empty() || woken_; });
-    woken_ = false;
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
-  void wake() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      woken_ = true;
-    }
-    cv_.notify_one();
-  }
-
-  bool empty() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return items_.empty();
-  }
-
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return items_.size();
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<T> items_;
-  bool woken_ = false;
 };
 
 }  // namespace mfc

@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <vector>
+
+#include "trace/metrics.h"
+
 namespace {
 
 namespace chaos = mfc::chaos;
@@ -23,15 +28,14 @@ StormOptions quiet_options(std::uint64_t seed) {
   return opt;
 }
 
-/// Full-adversary options: every fault point live, deterministic scheduler
-/// picks, and thread images round-tripped through the killable relay.
+/// Full-adversary options: every stream fault point live and deterministic
+/// scheduler picks.
 StormOptions hostile_options(std::uint64_t seed) {
   StormOptions opt;
   opt.seed = seed;
   opt.npes = 4;
   opt.workers = 9;  // 3 per migration technique
   opt.rounds = 12;
-  opt.use_proc_transport = true;
   opt.chaos.enabled = true;
   opt.chaos.seed = seed;
   opt.chaos.deterministic_sched = true;
@@ -40,8 +44,6 @@ StormOptions hostile_options(std::uint64_t seed) {
   opt.chaos.delivery_delay = 0.15;
   opt.chaos.max_delay_ticks = 6;
   opt.chaos.preempt = 0.02;
-  opt.chaos.transport_kill = 0.2;
-  opt.chaos.max_transport_kills = 3;
   return opt;
 }
 
@@ -65,7 +67,9 @@ TEST(Storm, CleanRunWithoutChaos) {
   StormOptions opt = quiet_options(1);
   StormReport r = chaos::run_storm(opt);
   expect_clean(r, opt);
-  EXPECT_EQ(r.transport_respawns, 0u);
+  // Every thread image ships through the scatter-gather send path.
+  EXPECT_EQ(mfc::metrics::total(mfc::metrics::Counter::kSpanSends),
+            r.thread_migrations);
   for (int p = 0; p < chaos::kPointCount; ++p) EXPECT_EQ(r.injections[p], 0u);
 }
 
@@ -80,9 +84,8 @@ TEST(Storm, WorkloadDigestReplaysBitIdentically) {
   expect_clean(b, opt);
   EXPECT_EQ(a.workload_digest, b.workload_digest)
       << "same StormOptions must replay the same workload bit-identically";
-  // Transport kills are keyed by (seed, shipment, attempt): the respawn
-  // pattern is part of the replay contract.
-  EXPECT_EQ(a.transport_respawns, b.transport_respawns);
+  // Image sizes are seed-derived too: the same bytes ship in both runs.
+  EXPECT_EQ(a.wire_bytes, b.wire_bytes);
 
   // The traced event stream obeys the same contract on its deterministic
   // classes: two same-seed storms produce identical event-count digests.
@@ -120,10 +123,14 @@ TEST(Storm, HundredRoundAcceptanceUnderFullChaos) {
   expect_clean(r, opt);
   EXPECT_GE(r.rounds, 100u);
   EXPECT_EQ(r.thread_migrations, 9u * 101u);
-  EXPECT_GT(r.transport_respawns, 0u);
-  std::uint64_t fired = 0;
-  for (int p = 0; p < chaos::kPointCount; ++p) fired += r.injections[p];
-  EXPECT_GT(fired, 0u) << "full-chaos storm must actually inject faults";
+  EXPECT_EQ(mfc::metrics::total(mfc::metrics::Counter::kSpanSends),
+            r.thread_migrations)
+      << "every image must ship through the scatter-gather path";
+  for (chaos::Point p : {chaos::Point::kPoolAcquire, chaos::Point::kDelivery,
+                         chaos::Point::kPreempt}) {
+    EXPECT_GT(r.injections[static_cast<int>(p)], 0u)
+        << "full-chaos storm must inject at " << chaos::to_string(p);
+  }
 }
 
 TEST(Storm, WorkloadDigestIsTransportIndependent) {
@@ -150,16 +157,42 @@ TEST(Storm, WorkloadDigestIsTransportIndependent) {
   EXPECT_EQ(reports[0].wire_bytes, reports[2].wire_bytes);
 }
 
-/// Fixed three-seed matrix run by the tsan CI preset (-L stress).
-class StormSeedMatrix : public ::testing::TestWithParam<std::uint64_t> {};
+/// One leg of the hostile matrix: a seed and the machine wire it runs on
+/// (0 = in-process queues, 1 = shm loopback, where every image ship crosses
+/// a byte stream).
+struct StormLeg {
+  std::uint64_t seed;
+  int transport;
+};
+
+/// The printed value names the CTest case: the in-process legs keep their
+/// bare-seed names, the shm legs get a suffix.
+void PrintTo(const StormLeg& leg, std::ostream* os) {
+  *os << leg.seed << (leg.transport == 1 ? "_shm" : "");
+}
+
+std::vector<StormLeg> seed_matrix() {
+  std::vector<StormLeg> legs;
+  for (int transport : {0, 1}) {
+    for (std::uint64_t seed : {101u, 202u, 303u}) {
+      legs.push_back({seed, transport});
+    }
+  }
+  return legs;
+}
+
+/// Fixed three-seed matrix on two wires, run by the tsan CI preset
+/// (-L stress).
+class StormSeedMatrix : public ::testing::TestWithParam<StormLeg> {};
 
 TEST_P(StormSeedMatrix, HostileStormStaysClean) {
-  StormOptions opt = hostile_options(GetParam());
+  StormOptions opt = hostile_options(GetParam().seed);
+  opt.transport = GetParam().transport;
   StormReport r = chaos::run_storm(opt);
   expect_clean(r, opt);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StormSeedMatrix,
-                         ::testing::Values(101u, 202u, 303u));
+                         ::testing::ValuesIn(seed_matrix()));
 
 }  // namespace
