@@ -55,8 +55,10 @@ inline bool write_msg_bench_json(const char* path, const char* suite,
   std::fprintf(f, "{\n  \"suite\": \"%s\",\n", suite);
   std::fprintf(f,
                "  \"platform\": {\"os\": \"%s\", \"arch\": \"%s\", "
-               "\"ncpus\": %d},\n",
-               info.os.c_str(), info.arch.c_str(), info.ncpus);
+               "\"ncpus\": %d, \"cpu_model\": \"%s\", "
+               "\"governor\": \"%s\"},\n",
+               info.os.c_str(), info.arch.c_str(), info.ncpus,
+               info.cpu_model.c_str(), info.governor.c_str());
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const MsgBenchRow& r = rows[i];

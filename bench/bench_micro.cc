@@ -1041,6 +1041,11 @@ void run_migrate_suite() {
 //                bench_compare.py --max-ratio) is shm <= 3x the in-process
 //                ns/msg: the ring adds a copy into the segment, a copy out,
 //                and a wake — but no syscall per message.
+//   pingpong_1deep  one message bouncing PE0 <-> PE1, one row per backend:
+//                per-hop latency with the receiver run dry every hop, which
+//                stream64's throughput cannot see. Gated (ci_transport.sh)
+//                as a shm/inproc ratio: a hop must cost a wake, not a
+//                polling thread's sleep quantum.
 //   image_*      scatter-gather thread-image-shaped sends (send_spans over
 //                an uneven span list) at 64 KiB / 256 KiB / 1 MiB over the
 //                socket wire, eager (gather + write) vs rendezvous
@@ -1054,7 +1059,7 @@ namespace transport_bench {
 
 namespace cv = mfc::converse;
 
-cv::HandlerId h_stream, h_stream_done, h_image, h_image_ack;
+cv::HandlerId h_stream, h_stream_done, h_image, h_image_ack, h_bounce;
 mfc::ult::Thread* g_sender = nullptr;
 int g_expect = 0;
 double g_t0 = 0.0, g_t1 = 0.0;
@@ -1079,6 +1084,15 @@ void ensure_handlers() {
         [](cv::Message&&) { cv::send_value(0, h_image_ack, 0); });
     h_image_ack = cv::register_handler(
         [](cv::Message&&) { cv::ready_thread(g_sender); });
+    // 1-deep pingpong: bounce until the count runs out, then resume PE 0.
+    h_bounce = cv::register_handler([](cv::Message&& m) {
+      const int left = m.as<int>();
+      if (left > 0) {
+        cv::send_value(static_cast<int>(m.src_pe), h_bounce, left - 1);
+      } else {
+        cv::ready_thread(g_sender);
+      }
+    });
   });
 }
 
@@ -1127,6 +1141,24 @@ mfc::bench::MsgBenchRow run_stream64(cv::Machine::Config::Transport t,
   });
   return {"stream64", backend_mode(t), 2, static_cast<std::uint64_t>(msgs),
           g_t1 - g_t0};
+}
+
+mfc::bench::MsgBenchRow run_pingpong_1deep(cv::Machine::Config::Transport t,
+                                           int hops) {
+  ensure_handlers();
+  cv::Machine::run(wire_config(t, 256 * 1024), [&](int pe) {
+    cv::barrier();
+    if (pe == 0) {
+      g_sender = cv::pe_scheduler().running();
+      g_t0 = mfc::wall_time();
+      cv::send_value(1, h_bounce, hops - 1);
+      cv::pe_scheduler().suspend();
+      g_t1 = mfc::wall_time();
+    }
+    cv::barrier();
+  });
+  return {"pingpong_1deep", backend_mode(t), 2,
+          static_cast<std::uint64_t>(hops), g_t1 - g_t0};
 }
 
 mfc::bench::MsgBenchRow run_image_ships(const char* name, bool rendezvous,
@@ -1187,9 +1219,12 @@ void run_transport_suite() {
   constexpr int kReps = 3;
   constexpr int kStreamMsgs = 20000;
   constexpr int kImageReps = 40;
+  constexpr int kPingReps = 5;
+  constexpr int kHops = 20000;
 
   std::printf("# machine-layer wire transports, loopback mode (npes=2, "
-              "median of %d)\n", kReps);
+              "median of %d; pingpong_1deep median of %d)\n",
+              kReps, kPingReps);
   std::vector<mfc::bench::MsgBenchRow> rows;
   for (const auto t : {cv::Machine::Config::Transport::kInProc,
                        cv::Machine::Config::Transport::kShm,
@@ -1201,6 +1236,18 @@ void run_transport_suite() {
   std::printf("# shm/inproc ns-per-msg ratio: %.2fx (acceptance bar: <= 3x, "
               "gated by ci_transport.sh)\n",
               rows[1].ns_per_msg() / rows[0].ns_per_msg());
+  const std::size_t ping_first = rows.size();
+  for (const auto t : {cv::Machine::Config::Transport::kInProc,
+                       cv::Machine::Config::Transport::kShm,
+                       cv::Machine::Config::Transport::kSocket}) {
+    rows.push_back(conv_bench::median_of(
+        kPingReps, [&] { return run_pingpong_1deep(t, kHops); }));
+    conv_bench::print_row(rows.back());
+  }
+  std::printf("# pingpong_1deep shm/inproc ns-per-hop ratio: %.2fx (gated by "
+              "ci_transport.sh)\n",
+              rows[ping_first + 1].ns_per_msg() /
+                  rows[ping_first].ns_per_msg());
 
   struct { const char* name; std::size_t bytes; } sizes[] = {
       {"image_64k", 64 * 1024},

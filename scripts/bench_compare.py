@@ -26,6 +26,8 @@ A second gate style compares two rows WITHIN the candidate file:
 fails when candidate[stream64,shm].ns_per_msg exceeds 3x
 candidate[stream64,inproc].ns_per_msg — the transport suite's acceptance
 bar (shm ring <= 3x the in-process per-message cost at 64 bytes).
+--max-ratio may be given more than once; every ratio is checked, and the
+ratio rows need not match --filter.
 """
 
 import argparse
@@ -63,9 +65,11 @@ def main():
                     help="allowed regression, percent (default: 10)")
     ap.add_argument("--filter", default="",
                     help="only compare rows whose name contains this")
-    ap.add_argument("--max-ratio", default="", metavar="A:MODE/B:MODE=X",
+    ap.add_argument("--max-ratio", action="append", default=[],
+                    metavar="A:MODE/B:MODE=X",
                     help="fail unless candidate row A's metric is <= X times "
-                    "row B's (both rows read from the candidate file)")
+                    "row B's (both rows read from the candidate file); "
+                    "repeatable")
     args = ap.parse_args()
 
     base = load_rows(args.baseline)
@@ -103,15 +107,16 @@ def main():
               file=sys.stderr)
         sys.exit(2)
 
-    if args.max_ratio:
+    ratio_fails = 0
+    for spec in args.max_ratio:
         try:
-            rows_part, limit = args.max_ratio.rsplit("=", 1)
+            rows_part, limit = spec.rsplit("=", 1)
             a_part, b_part = rows_part.split("/")
             a_key = tuple(a_part.split(":", 1))
             b_key = tuple(b_part.split(":", 1))
             limit = float(limit)
         except ValueError:
-            print(f"error: bad --max-ratio {args.max_ratio!r} "
+            print(f"error: bad --max-ratio {spec!r} "
                   "(want A:MODE/B:MODE=X)", file=sys.stderr)
             sys.exit(2)
         a = cand.get(a_key, {}).get(args.metric)
@@ -121,11 +126,15 @@ def main():
                   f"metric {args.metric} in candidate", file=sys.stderr)
             sys.exit(2)
         ratio = a / b
-        print(f"ratio {a_key[0]}:{a_key[1]} / {b_key[0]}:{b_key[1]} "
-              f"on {args.metric}: {ratio:.2f}x (limit {limit:.2f}x)")
+        marker = ""
         if ratio > limit:
-            print(f"\nFAIL: ratio {ratio:.2f}x exceeds limit {limit:.2f}x")
-            sys.exit(1)
+            marker = "  <-- OVER LIMIT"
+            ratio_fails += 1
+        print(f"ratio {a_key[0]}:{a_key[1]} / {b_key[0]}:{b_key[1]} "
+              f"on {args.metric}: {ratio:.2f}x (limit {limit:.2f}x){marker}")
+    if ratio_fails:
+        print(f"\nFAIL: {ratio_fails} ratio(s) exceed their limit")
+        sys.exit(1)
     if regressions:
         print(f"\nFAIL: {len(regressions)} row(s) regressed more than "
               f"{args.tolerance:.0f}% on {args.metric}")

@@ -16,6 +16,10 @@ cd "$(dirname "$0")/.."
 cmake --preset release
 cmake --build --preset release -j"$(nproc)"
 ctest --preset ft
+# Repeat leg: FT storms race kills against checkpoint streams and wakes;
+# a protocol race can pass many runs and then hang one.
+ctest --test-dir build-release -L '^ft$' --repeat until-fail:20 \
+  --output-on-failure
 
 # Cross-process leg, standalone and verbose: proc-kill storms on both
 # wires plus the repeated re-kill of a respawned process. Run with a

@@ -148,8 +148,9 @@ struct MachineState {
   int local_npes = 0;
   transport::Transport* transport = nullptr;
   std::atomic<int> procs_done{0};
-  // Mattern double-wave memory for multi-process quiescence (PE 0 only):
-  // the previous round's accumulated send/deliver counts. ~0 = no round.
+  // Mattern double-wave memory for quiescence (PE 0 only): the previous
+  // round's accumulated send/deliver counts (multi-process) or its balanced
+  // send count (one process). ~0 = no such round.
   std::uint64_t qd_prev_sent = ~0ull;
   std::uint64_t qd_prev_delivered = ~0ull;
   // Per-PE FT flags (allocated only when ft_on). `dead`: the PE's loop
@@ -414,15 +415,11 @@ void release_message(Message* m) {
   t_pe->pool.cache.push_back(m);
 }
 
-Message* pool_acquire(Pe* pe) {
+/// An envelope from `pe`'s freelist, or a fresh one that adopts into it.
+/// Owning PE thread only.
+Message* pool_take(Pe* pe) {
   MsgPool& pool = pe->pool;
   if (!pool.cache.empty()) {
-    // Chaos pool-miss injection: skip the freelist and take a one-shot heap
-    // envelope (pool_pe = -1 so release frees instead of recycling) —
-    // models allocator pressure without actually failing the send.
-    if (chaos::should_inject(chaos::Point::kPoolAcquire)) {
-      return create_message();
-    }
     Message* m = pool.cache.back();
     pool.cache.pop_back();
     metrics::bump(Counter::kMsgsRecycled);
@@ -431,6 +428,17 @@ Message* pool_acquire(Pe* pe) {
   Message* m = create_message();
   m->pool_pe = pe->id;
   return m;
+}
+
+Message* pool_acquire(Pe* pe) {
+  // Chaos pool-miss injection: skip the freelist and take a one-shot heap
+  // envelope (pool_pe = -1 so release frees instead of recycling) —
+  // models allocator pressure without actually failing the send.
+  if (!pe->pool.cache.empty() &&
+      chaos::should_inject(chaos::Point::kPoolAcquire)) {
+    return create_message();
+  }
+  return pool_take(pe);
 }
 
 /// Fast-path delivery: one acquire load for the handler, no lock. With the
@@ -541,6 +549,14 @@ void pe_loop(Pe* pe, const std::function<void(int)>& entry) {
 
   const bool delay_on = g_machine->chaos_delay;
   const bool ft_on = g_machine->ft_on;
+  transport::Transport* const wire =
+      g_machine->transport != nullptr && g_machine->transport->pes_drain()
+          ? g_machine->transport
+          : nullptr;
+  // Park predicate extension: frames waiting in this process's inbound
+  // shm rings (their senders wake the destination PE, or the doorbell).
+  // Without such a wire the plain park path runs.
+  const auto wire_pending = [wire] { return wire->inbound_pending(); };
   const std::uint64_t max_ticks = delay_on ? chaos::config().max_delay_ticks : 0;
   while (!g_machine->stop.load(std::memory_order_acquire)) {
     if (ft_on) {
@@ -565,6 +581,9 @@ void pe_loop(Pe* pe, const std::function<void(int)>& entry) {
       ++pe->tick;
       if (release_due_delayed(pe)) progress = true;
     }
+    // Poll the wire the way Converse polls its network queue: frames for
+    // any local PE move into their queues (this one's included) here.
+    if (wire != nullptr && wire->drain_inbound()) progress = true;
     while (Message* m = pe->queue.try_pop()) {
       if (delay_on && chaos::should_inject(chaos::Point::kDelivery)) {
         // Stash instead of dispatching; a later arrival with a shorter
@@ -594,13 +613,18 @@ void pe_loop(Pe* pe, const std::function<void(int)>& entry) {
       // With FT on, PE 0 parks with a deadline so detector ticks keep
       // firing on an otherwise idle machine.
       if (ft_on && pe->id == 0) {
-        if (Message* m = pe->queue.pop_wait_for(200)) dispatch(m);
+        Message* m = wire != nullptr
+                         ? pe->queue.pop_wait_for(200, wire_pending)
+                         : pe->queue.pop_wait_for(200);
+        if (m != nullptr) dispatch(m);
         continue;
       }
       // Idle: bounded spin then park until a message arrives or shutdown
       // wakes us. On delivery, re-enter the drain loop immediately — the
       // batch behind this message is typically non-empty.
-      if (Message* m = pe->queue.pop_wait()) {
+      Message* m = wire != nullptr ? pe->queue.pop_wait(wire_pending)
+                                   : pe->queue.pop_wait();
+      if (m != nullptr) {
         dispatch(m);
         continue;
       }
@@ -642,7 +666,7 @@ void register_builtin_handlers() {
     // Quiescence detection: Mattern-style counting token ring. A token
     // visits every PE in order; if every PE was locally idle during its
     // visit AND the application send/deliver counts were equal and
-    // unchanged across the whole round, the machine is quiet.
+    // unchanged across two consecutive rounds, the machine is quiet.
     h_qd_start = register_handler([](Message&&) {
       metrics::bump(Counter::kQdDelivered);
       MFC_CHECK(t_pe->id == 0);
@@ -684,9 +708,21 @@ void register_builtin_handlers() {
           g_machine->qd_prev_sent = token.acc_sent;
           g_machine->qd_prev_delivered = token.acc_delivered;
         } else {
-          quiet = token.all_idle != 0 &&
-                  app_sent() == token.app_sent_at_start &&
-                  app_delivered() == token.app_sent_at_start;
+          // Single process: one balanced wave is not enough either. A
+          // message in flight at the round's start can be dispatched after
+          // the token passed its PE, counted delivered before its handler
+          // (or a thread the handler readied) sends. Quiet needs two
+          // consecutive balanced rounds at the same count; the next round's
+          // visit to that PE sees the send or the ready thread. Deliveries
+          // are read before sends, so a dispatch between the two reads
+          // cannot balance a count that was short when it was read.
+          const std::uint64_t delivered = app_delivered();
+          const std::uint64_t sent = app_sent();
+          const bool balanced = token.all_idle != 0 &&
+                                sent == token.app_sent_at_start &&
+                                delivered == sent;
+          quiet = balanced && sent == g_machine->qd_prev_sent;
+          g_machine->qd_prev_sent = balanced ? sent : ~0ull;
         }
         if (quiet) {
           g_machine->qd_prev_sent = ~0ull;
@@ -846,14 +882,21 @@ void run_machine_process(ProcRun ctx) {
   if (transport) {
     transport::Hooks hooks;
     hooks.alloc = [](const wire::Header& h, std::uint64_t total_len) {
-      Message* m = create_message();
+      // The destination PE draining its own frame takes a pooled envelope
+      // (no chaos draw: who drains is timing, and the PE's injection
+      // stream must not depend on it). Any other drainer allocates one the
+      // destination PE adopts into its pool on release.
+      Message* m;
+      if (t_pe != nullptr && t_pe->id == h.dest_pe) {
+        m = pool_take(t_pe);
+      } else {
+        m = create_message();
+        m->pool_pe = h.dest_pe;
+      }
       m->handler = h.handler;
       m->src_pe = h.src_pe;
       m->dest_pe = h.dest_pe;
       m->trace_flow = h.trace_flow;
-      // Adopted into the destination PE's pool on release (the comm thread
-      // allocates, the destination PE frees).
-      m->pool_pe = h.dest_pe;
       m->payload.resize(static_cast<std::size_t>(total_len));
       return m;
     };
@@ -866,6 +909,9 @@ void run_machine_process(ProcRun ctx) {
       dest->queue.push(m);
     };
     hooks.drop = [](Message* m) { drain_message(m); };
+    hooks.wake_pe = [](int pe) {
+      g_machine->pes[static_cast<std::size_t>(pe)]->queue.unpark_if_parked();
+    };
     hooks.on_proc_done = [] {
       if (g_machine->procs_done.fetch_add(1) + 1 == g_machine->nprocs) {
         g_machine->transport->broadcast_stop();
@@ -881,7 +927,8 @@ void run_machine_process(ProcRun ctx) {
     hooks.tolerate_peer_loss = g_machine->ft_respawn;
     if (g_machine->ft_on) {
       // Machine-level FT control frames (kill/revive for a local PE): the
-      // comm thread flips the same flags kill_pe/revive_pe flip locally.
+      // thread draining the wire (the comm thread, or a PE holding the shm
+      // consumer token) flips the same flags kill_pe/revive_pe flip locally.
       hooks.ft_ctl = [](const wire::Header& h) {
         const int pe = h.dest_pe;
         MFC_CHECK(pe >= 0 && pe < g_machine->npes && pe_local(pe));
@@ -900,7 +947,8 @@ void run_machine_process(ProcRun ctx) {
       // hang the stop protocol); with it the death becomes a detection
       // event for the FT tick. Every process additionally drains its
       // zygote channel — survivors install respawned peers' fresh streams
-      // here (attach_peer must run on the comm thread).
+      // here. The hook runs on the comm thread; the shm transport calls it
+      // holding the consumer token, which attach_peer relies on.
       hooks.idle = [] {
         MachineState* st = g_machine;
         for (std::size_t k = 0; k < st->kids.size(); ++k) {
@@ -1628,7 +1676,8 @@ void clear_ft_machine_hooks() {
 namespace {
 
 /// Remote-PE tail shared by kill_pe/revive_pe: ships a kFtCtl frame to the
-/// process hosting `pe`; its comm thread flips the flags (hooks.ft_ctl).
+/// process hosting `pe`; whichever thread there drains the frame flips the
+/// flags (hooks.ft_ctl).
 void send_ft_ctl(int pe, std::uint64_t op) {
   MFC_CHECK_MSG(t_pe != nullptr && g_machine->transport != nullptr,
                 "cross-process kill/revive requires a PE thread and a wire");

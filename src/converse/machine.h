@@ -319,8 +319,9 @@ void clear_ft_machine_hooks();
 /// recovery protocol, not OS-level process death; see DESIGN.md "Fault
 /// tolerance"). Requires FT hooks installed and pe != 0. Callable from any
 /// PE thread, including the victim itself. A non-local `pe` is reached via
-/// a machine-level control frame (kFtCtl); its process's comm thread flips
-/// the flags.
+/// a machine-level control frame (kFtCtl); whichever thread of its process
+/// drains that frame (the comm thread, or a PE holding the shm consumer
+/// token) flips the flags.
 void kill_pe(int pe);
 
 /// Clears the dead flag and schedules the on_revive hook; the PE's loop

@@ -3,11 +3,15 @@
 // The segment holds a grid of single-producer single-consumer rings:
 // rings[dest_proc][producer], where `producer` is either a PE id (that PE's
 // kernel thread is the only writer) or the extra per-destination control
-// slot (written only by the one thread that decides shutdown). The single
-// consumer of every ring targeting process k is k's comm thread. Pinning
-// one writer and one reader per ring is what lets the ring reuse the PR 1
-// queue discipline — release/acquire head/tail on separate cache lines, no
-// CAS, no locks — across address spaces.
+// slot. The control slot's single writer is process 0's broadcast_stop(),
+// called once, by whichever thread counts procs_done up to nprocs: the
+// comm thread, a draining PE, or the PE that finished last. The consumer
+// side of every ring targeting process k belongs to whichever thread of k
+// holds k's consumer token (see transport.cc): an idle PE draining on its
+// way to park, a producer whose loopback ring is full, or the comm thread's
+// backstop. The token keeps one reader per ring at a time, which is what
+// lets the ring reuse the queue.h discipline — release/acquire head/tail on
+// separate cache lines, no CAS, no locks — across address spaces.
 //
 // A ring carries whole wire frames (Header + payload). The producer only
 // publishes `tail` after a complete frame is in place, so the consumer never
@@ -18,14 +22,30 @@
 // destructive migration-pack epilogue) after the bytes are copied out but
 // before the frame becomes visible to the consumer.
 //
+// The tail publish is seq_cst, and after it the producer sets the
+// destination's pending flag (Doorbell below) and then reads the receiver's
+// parked flag. A parking receiver sets parked and then reads the pending
+// flag. That is a Dekker pair: either the receiver sees the frame or the
+// producer sees it parked and wakes it. The wake goes to the destination
+// PE's parker (same process) or to the destination process's doorbell
+// (another process). A receiver whose consumer token is held by another
+// thread does not count the flag as work; the holder re-reads the flag
+// after it lets the token go (transport.cc, drain_then_give).
+//
 // The segment is created with shm_open + ftruncate + mmap(MAP_SHARED) before
 // the machine forks, and shm_unlink'd immediately — children inherit the
 // mapping; nothing persists if a process dies.
 #pragma once
 
 #include <fcntl.h>
+#include <linux/futex.h>
 #include <sys/mman.h>
+#include <sys/syscall.h>
 #include <unistd.h>
+
+#include <cerrno>
+#include <climits>
+#include <ctime>
 
 #include <atomic>
 #include <cstddef>
@@ -87,9 +107,10 @@ class RingView {
     return true;
   }
 
-  /// Makes the pending frame(s) visible to the consumer.
+  /// Makes the pending frame(s) visible to the consumer. seq_cst: the
+  /// producer's wake check that follows must not be reordered before it.
   void publish() {
-    ctrl_->tail.store(pending_tail_, std::memory_order_release);
+    ctrl_->tail.store(pending_tail_, std::memory_order_seq_cst);
   }
 
   /// Consumer side: pops one frame if available. Sink protocol matches
@@ -156,9 +177,65 @@ class RingView {
   std::uint64_t pending_tail_ = 0;
 };
 
-/// The whole segment: nprocs × (npes + 1) rings. Ring (dest_proc, producer)
-/// carries frames from `producer` (a PE, or the control slot producer ==
-/// npes) to dest_proc's comm thread.
+/// Per-process wake state, shared across processes. `pending` summarizes
+/// the process's inbound rings so a PE's park predicate is one load, not a
+/// scan: every producer sets it after a publish, and a drainer clears it
+/// before it scans. `seq` is a futex word (FUTEX_WAKE without the private
+/// flag): the process's comm thread parks on it, and a producer in another
+/// process rings it after each publish. Both cost one load per send unless
+/// the flag is clear or the comm thread is parked.
+struct Doorbell {
+  alignas(64) std::atomic<std::uint32_t> seq;  ///< the futex word
+  /// 1 while the comm thread is parked (a flag, not a count: one waiter per
+  /// process, and a respawned incarnation resets what a dead one left).
+  std::atomic<std::uint32_t> parked;
+  /// 1 once a frame was published since the last drain began. A frame
+  /// published while the flag was already set is seen by the scan that
+  /// follows the clear (seq_cst: tail store → flag load vs. flag clear →
+  /// tail load).
+  std::atomic<std::uint32_t> pending;
+
+  /// Producer side, after a tail publish and before any wake.
+  void flag_pending() {
+    if (pending.load(std::memory_order_seq_cst) == 0) {
+      pending.store(1, std::memory_order_seq_cst);
+    }
+  }
+
+  /// Producer side, after a tail publish.
+  void ring() {
+    if (parked.load(std::memory_order_seq_cst) != 0) force();
+  }
+
+  /// Unconditional wake (stop).
+  void force() {
+    seq.fetch_add(1, std::memory_order_seq_cst);
+    ::syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&seq), FUTEX_WAKE,
+              INT_MAX, nullptr, nullptr, 0);
+  }
+
+  /// Parks until rung or `micros` elapse, unless `ready()` already holds
+  /// once `parked` is published. Returns true on timeout.
+  template <typename Ready>
+  bool park_for(long micros, Ready&& ready) {
+    parked.store(1, std::memory_order_seq_cst);
+    const std::uint32_t s = seq.load(std::memory_order_seq_cst);
+    bool timed_out = false;
+    if (!ready()) {
+      timespec ts{micros / 1000000, (micros % 1000000) * 1000};
+      timed_out = ::syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&seq),
+                            FUTEX_WAIT, s, &ts, nullptr, 0) != 0 &&
+                  errno == ETIMEDOUT;
+    }
+    parked.store(0, std::memory_order_relaxed);
+    return timed_out;
+  }
+};
+static_assert(sizeof(Doorbell) == 64);
+
+/// The whole segment: nprocs × (npes + 1) rings, then one Doorbell per
+/// process. Ring (dest_proc, producer) carries frames from `producer` (a
+/// PE, or the control slot producer == npes) to process dest_proc.
 class Segment {
  public:
   Segment() = default;
@@ -179,8 +256,9 @@ class Segment {
     nprocs_ = nprocs;
     npes_ = npes;
     ring_bytes_ = ring_bytes;
-    bytes_ = static_cast<std::size_t>(nprocs) * (npes + 1) *
-             ring_footprint(ring_bytes);
+    rings_bytes_ = static_cast<std::size_t>(nprocs) * (npes + 1) *
+                   ring_footprint(ring_bytes);
+    bytes_ = rings_bytes_ + static_cast<std::size_t>(nprocs) * sizeof(Doorbell);
     char name[64];
     std::snprintf(name, sizeof name, "/mfc-ring-%d-%p", ::getpid(),
                   static_cast<void*>(this));
@@ -196,6 +274,7 @@ class Segment {
     MFC_CHECK_MSG(base_ != MAP_FAILED, "mmap of shm segment failed");
     for (int d = 0; d < nprocs; ++d)
       for (int p = 0; p <= npes; ++p) ring(d, p).init(ring_bytes);
+    // ftruncate zero-fills, so every doorbell starts at seq 0, not parked.
   }
 
   /// Ring carrying frames from `producer` to process `dest_proc`.
@@ -205,6 +284,11 @@ class Segment {
         static_cast<std::size_t>(dest_proc) * (npes_ + 1) + producer;
     char* at = base_ + idx * ring_footprint(ring_bytes_);
     return RingView(reinterpret_cast<RingCtrl*>(at), at + sizeof(RingCtrl));
+  }
+
+  /// Wake word of process `proc`'s comm thread.
+  Doorbell& doorbell(int proc) {
+    return reinterpret_cast<Doorbell*>(base_ + rings_bytes_)[proc];
   }
 
   int nprocs() const { return nprocs_; }
@@ -218,6 +302,7 @@ class Segment {
  private:
   char* base_ = nullptr;
   std::size_t bytes_ = 0;
+  std::size_t rings_bytes_ = 0;
   std::size_t ring_bytes_ = 0;
   int nprocs_ = 0;
   int npes_ = 0;

@@ -59,7 +59,23 @@ std::vector<wire::Span> slice_spans(const wire::Span* spans, std::size_t n,
 
 // ---------------------------------------------------------------------------
 // Shared-memory ring transport.
+//
+// Message-driven receive: a sender publishes a frame and wakes the
+// destination (its PE's parker in this process, else the destination
+// process's doorbell); idle PEs drain their process's inbound rings before
+// they park. The comm thread is a backstop parked on the doorbell with a
+// bounded timeout: it drains what no PE picks up (frames for parked or dead
+// PEs of a process no local sender wakes) and runs the idle hook.
+//
+// One consumer token per process serializes every reader of the rings, and
+// guards all receive-side state with them: the Assembly slots, attach_peer's
+// discard of a dead incarnation's frames, and the wire trace ring.
 // ---------------------------------------------------------------------------
+
+/// Comm-thread park bound: the idle hook (child reaping, respawn
+/// peer-swaps) runs at least this often, and a frame nobody woke anyone
+/// for waits at most this long.
+constexpr long kCommParkUs = 1000;
 
 class ShmTransport final : public Transport {
  public:
@@ -86,7 +102,12 @@ class ShmTransport final : public Transport {
       for (int d = 0; d < opt_.nprocs; ++d)
         views_[static_cast<std::size_t>(lp) * opt_.nprocs + d] =
             seg_.ring(d, my_proc * ppn_ + lp);
-    assembly_.resize(static_cast<std::size_t>(opt_.npes) + 1);
+    const int nslots = opt_.npes + 1;
+    for (int s = 0; s < nslots; ++s) {
+      inbound_.push_back(seg_.ring(my_proc_, s));
+      sinks_.push_back({this, s});
+    }
+    assembly_.resize(static_cast<std::size_t>(nslots));
     comm_ = std::thread([this] { comm_loop(); });
   }
 
@@ -105,14 +126,15 @@ class ShmTransport final : public Transport {
       // Delayed publish: the frame's bytes are in the ring but invisible
       // until after on_consumed — the pack epilogue can evacuate the pages
       // the spans pointed into before the message can be delivered.
-      if (!push_wait(rv, h, spans, n, /*publish=*/on_consumed == nullptr)) {
+      if (!push_wait(rv, dproc, h, spans, n,
+                     /*publish=*/on_consumed == nullptr)) {
         if (on_consumed) on_consumed();
         trace::emit(trace::Ev::kWireSendEnd);
         return;  // dropped post-stop
       }
       if (on_consumed) {
         on_consumed();
-        rv.publish();
+        publish(rv, dproc, h.dest_pe);
       }
       trace::emit(trace::Ev::kWireSendEnd, 0, 0,
                   static_cast<std::uint32_t>(h.payload_len +
@@ -138,7 +160,7 @@ class ShmTransport final : public Transport {
       metrics::bump(Counter::kWireSentFrames);
       metrics::bump(Counter::kWireChunks);
       ++frames;
-      if (!push_wait(rv, h, sub.data(), sub.size(),
+      if (!push_wait(rv, dproc, h, sub.data(), sub.size(),
                      /*publish=*/!(last && on_consumed != nullptr))) {
         if (on_consumed) on_consumed();
         trace::emit(trace::Ev::kWireSendEnd);
@@ -146,7 +168,7 @@ class ShmTransport final : public Transport {
       }
       if (last && on_consumed) {
         on_consumed();
-        rv.publish();
+        publish(rv, dproc, h.dest_pe);
       }
       off += len;
     }
@@ -165,7 +187,7 @@ class ShmTransport final : public Transport {
     h.src_pe = src_pe;
     h.dest_pe = 0;
     shm::RingView& rv = producer_view(src_pe, /*dproc=*/0);
-    push_wait(rv, h, nullptr, 0, true);
+    push_wait(rv, 0, h, nullptr, 0, true);
   }
 
   void broadcast_stop() override {
@@ -176,14 +198,18 @@ class ShmTransport final : public Transport {
     for (int d = 0; d < opt_.nprocs; ++d) {
       if (d == my_proc_) continue;
       shm::RingView rv = seg_.ring(d, opt_.npes);
-      while (!rv.try_push(h, nullptr, 0))
+      while (!rv.try_push(h, nullptr, 0)) {
+        seg_.doorbell(d).ring();
         std::this_thread::sleep_for(std::chrono::microseconds(20));
+      }
+      notify(d, /*dest_pe=*/0);
     }
     hooks_.on_stop();
   }
 
   void stop_local() override {
     stop_.store(true, std::memory_order_release);
+    seg_.doorbell(my_proc_).force();
   }
 
   void join() override {
@@ -200,7 +226,24 @@ class ShmTransport final : public Transport {
       if (hooks_.ft_ctl) hooks_.ft_ctl(h);
       return;
     }
-    push_wait(producer_view(h.src_pe, dproc), h, nullptr, 0, true);
+    push_wait(producer_view(h.src_pe, dproc), dproc, h, nullptr, 0, true);
+  }
+
+  bool pes_drain() const override { return true; }
+
+  bool drain_inbound() override {
+    if (!inbound_pending() || !try_take()) return false;
+    const std::uint64_t frames = drain_then_give();
+    metrics::bump(Counter::kWirePeDrains, frames);
+    return frames != 0;
+  }
+
+  bool inbound_pending() override {
+    // A held token makes the flag the holder's business (drain_then_give
+    // re-reads it after letting go), so waiters park instead of spinning on
+    // a flag they cannot act on — a token holder that the OS preempts
+    // would otherwise have every idle PE of its process spinning meanwhile.
+    return pending_flag() && !consuming_.load(std::memory_order_seq_cst);
   }
 
   bool quiescent() override {
@@ -215,12 +258,14 @@ class ShmTransport final : public Transport {
 
   void attach_peer(int proc, int fd, std::uint64_t gen) override {
     // The rings are crash-consistent (frames become visible only at the
-    // tail publish), so the respawn keeps them: its consumer drains
+    // tail publish), so the respawn keeps them: our consumers drain
     // whatever the old incarnation left unread, and its producers start
     // from the shared tails. Only receive-side state referring to the old
     // incarnation needs discarding: messages it half-shipped will never
-    // see their remaining chunks.
+    // see their remaining chunks. The comm thread holds the consumer token
+    // around the idle hook this runs from.
     MFC_CHECK(fd < 0);
+    MFC_CHECK(consuming_.load(std::memory_order_relaxed));
     (void)gen;
     for (int lp = 0; lp < ppn_; ++lp) {
       Assembly& a = assembly_[static_cast<std::size_t>(proc * ppn_ + lp)];
@@ -330,65 +375,130 @@ class ShmTransport final : public Transport {
     return opt_.shm_ring_bytes / 2 - sizeof(wire::Header);
   }
 
-  bool push_wait(shm::RingView& rv, const wire::Header& h,
+  bool try_take() {
+    return !consuming_.load(std::memory_order_relaxed) &&
+           !consuming_.exchange(true, std::memory_order_acquire);
+  }
+  void take() {
+    while (!try_take()) std::this_thread::yield();
+  }
+  void give() { consuming_.store(false, std::memory_order_seq_cst); }
+
+  bool pending_flag() {
+    return seg_.doorbell(my_proc_).pending.load(std::memory_order_seq_cst) !=
+           0;
+  }
+
+  /// Drains under the token, then lets it go. Waiters do not watch the
+  /// pending flag while the token is held (inbound_pending), so frames
+  /// published during the drain are the holder's to pick up: after the
+  /// release it re-reads the flag and, if set, takes the token back — or
+  /// another thread just took it and owns the same re-check. The seq_cst
+  /// release → flag load pairs with a sender's flag store → parked load
+  /// (shmring.h): either the holder sees the flag or the sender's wake
+  /// finds the token free. Returns the frame count.
+  std::uint64_t drain_then_give() {
+    std::uint64_t frames = 0;
+    do {
+      frames += drain_held();
+      give();
+    } while (pending_flag() && try_take());
+    return frames;
+  }
+
+  /// Pops every visible frame toward this process; returns the count.
+  /// Caller holds the consumer token.
+  std::uint64_t drain_held() {
+    if (closed_) return 0;
+    // Clear before the scan: a frame published after this store sets the
+    // flag again, one published before it is visible to the scan.
+    seg_.doorbell(my_proc_).pending.store(0, std::memory_order_seq_cst);
+    trace::WireScope wire;
+    std::uint64_t frames = 0;
+    for (std::size_t s = 0; s < inbound_.size(); ++s)
+      while (inbound_[s].try_pop(sinks_[s])) ++frames;
+    return frames;
+  }
+
+  /// After a tail publish toward process `dproc`: flags its rings pending,
+  /// then wakes whoever consumes the frame for `dest_pe` (see the Dekker
+  /// note in shmring.h).
+  void notify(int dproc, int dest_pe) {
+    shm::Doorbell& bell = seg_.doorbell(dproc);
+    bell.flag_pending();
+    if (dproc == my_proc_) {
+      hooks_.wake_pe(dest_pe);
+    } else {
+      bell.ring();
+    }
+  }
+
+  void publish(shm::RingView& rv, int dproc, int dest_pe) {
+    rv.publish();
+    notify(dproc, dest_pe);
+  }
+
+  bool push_wait(shm::RingView& rv, int dproc, const wire::Header& h,
                  const wire::Span* s, std::size_t n, bool publish) {
     int waits = 0;
     while (!rv.try_push(h, s, n, publish)) {
-      // The consumer always drains, so a full ring clears; after stop the
-      // consumer may be gone — give up (the drop is benign post-stop).
+      // Some consumer always drains a full ring; after stop the consumers
+      // may be gone — give up (the drop is benign post-stop).
       ++waits;
       if (stop_.load(std::memory_order_relaxed) && waits > 2500) return false;
-      std::this_thread::sleep_for(std::chrono::microseconds(20));
+      if (dproc == my_proc_) {
+        // Loopback: this process consumes the full ring, so take a turn
+        // at draining it rather than sleep.
+        if (!drain_inbound()) std::this_thread::yield();
+      } else {
+        seg_.doorbell(dproc).ring();
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+      }
     }
+    if (publish) notify(dproc, h.dest_pe);
     return true;
   }
 
   void comm_loop() {
-    // Comm-thread wire events (deliver, chunk assembly) land on the trace
-    // session's dedicated wire ring, not a PE ring.
-    trace::bind_comm();
-    const int nslots = opt_.npes + 1;
-    std::vector<Sink> sinks(static_cast<std::size_t>(nslots));
-    for (int s = 0; s < nslots; ++s)
-      sinks[static_cast<std::size_t>(s)] = {this, s};
-    std::uint64_t idle_rounds = 0;
+    shm::Doorbell& bell = seg_.doorbell(my_proc_);
     std::uint64_t rounds = 0;
     for (;;) {
       bool any = false;
-      for (int s = 0; s < nslots; ++s) {
-        shm::RingView rv = seg_.ring(my_proc_, s);
-        while (rv.try_pop(sinks[static_cast<std::size_t>(s)])) any = true;
+      if (try_take()) any = drain_then_give() != 0;
+      if (!any && stop_.load(std::memory_order_acquire)) break;
+      // A busy comm thread must still service the machine's idle hook: the
+      // respawn control channel (peer-swap orders) rides it, and a
+      // recovery storm keeps the rings hot for its whole duration.
+      bool tick = (++rounds & 63) == 0;
+      if (!any) {
+        // Frames another thread is draining are that thread's to finish:
+        // it re-reads the pending flag after letting the token go.
+        tick |= bell.park_for(kCommParkUs, [this] {
+          return stop_.load(std::memory_order_relaxed) || inbound_pending();
+        });
       }
-      ++rounds;
-      if (any) {
-        idle_rounds = 0;
-        // A busy comm thread must still service the machine's idle hook:
-        // the respawn control channel (peer-swap orders) rides it, and a
-        // recovery storm keeps the rings hot for its whole duration.
-        if (hooks_.idle && (rounds & 63) == 0) hooks_.idle();
-        continue;
+      if (tick && hooks_.idle) {
+        take();
+        {
+          trace::WireScope wire;
+          hooks_.idle();
+        }
+        give();
       }
-      if (stop_.load(std::memory_order_acquire)) break;
-      ++idle_rounds;
-      if (hooks_.idle && (idle_rounds & 63) == 0) hooks_.idle();
-      // Single-CPU-friendly: sleep immediately, bounded so stop and fresh
-      // traffic are observed promptly.
-      const std::uint64_t us = idle_rounds < 10 ? 50 * idle_rounds : 500;
-      std::this_thread::sleep_for(std::chrono::microseconds(us));
     }
     // Writers that completed concurrently with stop: one last sweep, then
-    // free anything still half-assembled.
-    for (int s = 0; s < nslots; ++s) {
-      shm::RingView rv = seg_.ring(my_proc_, s);
-      while (rv.try_pop(sinks[static_cast<std::size_t>(s)])) {
-      }
-    }
+    // free anything still half-assembled and close the rings to late PE
+    // drains (whatever they left would have nobody to free it).
+    take();
+    drain_held();
     for (Assembly& a : assembly_) {
       if (a.m != nullptr) {
         hooks_.drop(a.m);
         a.m = nullptr;
       }
     }
+    closed_ = true;
+    give();
   }
 
   Options opt_;
@@ -399,7 +509,13 @@ class ShmTransport final : public Transport {
   std::atomic<bool> stop_{false};
   std::thread comm_;
   std::vector<shm::RingView> views_;
-  std::vector<Assembly> assembly_;
+  /// Consumer token: held by the one thread of this process reading the
+  /// rings; everything below it is guarded by it.
+  std::atomic<bool> consuming_{false};
+  std::vector<shm::RingView> inbound_;  ///< rings toward this process
+  std::vector<Sink> sinks_;             ///< parallel to inbound_
+  std::vector<Assembly> assembly_;      ///< parallel to inbound_
+  bool closed_ = false;                 ///< final sweep done
 };
 
 // ---------------------------------------------------------------------------

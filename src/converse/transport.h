@@ -23,6 +23,13 @@
 // Producer discipline: send() may only be called on PE kernel threads (the
 // header's src_pe names the calling PE), which gives the shm rings their
 // single producer per (dest_proc, src_pe) pair.
+//
+// Receive side: the socket backend reads every stream on its comm thread.
+// The shm backend is message-driven instead: PE threads drain the inbound
+// rings themselves (drain_inbound) and park on a predicate that includes
+// them (inbound_pending); senders wake the destination; the comm thread is
+// only a parked backstop. One consumer token per process keeps the rings'
+// single reader.
 #pragma once
 
 #include <cstddef>
@@ -39,9 +46,12 @@ struct Message;
 
 namespace mfc::converse::transport {
 
-/// Machine-side callbacks, installed post-fork via start(). alloc/enqueue/
-/// drop manage receive envelopes and run on the comm thread; the shutdown
-/// hooks implement the ProcDone/Stop handshake.
+/// Machine-side callbacks, installed post-fork via start(). Every hook fired
+/// by an arriving frame (alloc/enqueue/drop, on_proc_done, on_stop, ft_ctl)
+/// runs on whichever thread is draining the wire: the socket backend's comm
+/// thread, or whichever shm thread holds the consumer token (the comm
+/// thread or a draining PE). The shutdown hooks implement the ProcDone/Stop
+/// handshake.
 struct Hooks {
   /// Allocates a delivery envelope for an incoming message of `total_len`
   /// payload bytes (header fields copied in; payload sized, unfilled).
@@ -51,14 +61,23 @@ struct Hooks {
   std::function<void(Message*)> enqueue;
   /// Frees an envelope that will never be delivered (stop-time cleanup).
   std::function<void(Message*)> drop;
-  /// A process finished all its mains (invoked on process 0 only).
+  /// A process finished all its mains (invoked on process 0 only: by the
+  /// thread draining the wire, or inline on the PE thread whose process is
+  /// process 0). The call that counts the last process calls
+  /// broadcast_stop(), so that thread is the control slot's writer.
   std::function<void()> on_proc_done;
-  /// Stop order received (every process; may fire on the comm thread).
+  /// Stop order received (every process; on the thread draining the wire,
+  /// or on process 0 inside broadcast_stop()).
   std::function<void()> on_stop;
-  /// Comm-thread idle tick (the parent polls child liveness here).
+  /// Comm-thread idle tick (the parent polls child liveness here). The shm
+  /// comm thread runs it holding the consumer token.
   std::function<void()> idle;
+  /// A frame for local PE `pe` was published: unpark that PE if it is
+  /// parked (shm loopback; a cross-process frame rings a doorbell instead).
+  std::function<void(int pe)> wake_pe;
   /// An FT control frame (kind == kFtCtl) arrived for a local PE: the
-  /// machine flips that PE's dead/wipe flags. Comm-thread context.
+  /// machine flips that PE's dead/wipe flags. Runs on the thread draining
+  /// the wire, or inline in send_ctl() when the target PE is local.
   std::function<void(const wire::Header&)> ft_ctl;
   /// Cross-process FT respawn is armed: losing a peer is a recoverable
   /// event, not a protocol violation. EOF mid-frame discards the partial
@@ -100,6 +119,23 @@ class Transport {
   /// name the calling PE (producer discipline, like send()).
   virtual void send_ctl(const wire::Header& h) = 0;
 
+  /// True when PE threads drain this backend's inbound frames themselves
+  /// (drain_inbound / inbound_pending below). The machine's PE loops poll
+  /// only such a backend; one whose comm thread reads everything says no
+  /// and keeps the plain in-process park path.
+  virtual bool pes_drain() const { return false; }
+
+  /// PE thread context: drains every frame queued toward this process into
+  /// the destination PEs' queues, if no other thread is draining already.
+  /// True when it moved anything.
+  virtual bool drain_inbound() { return false; }
+
+  /// True when a frame toward this process may wait to be drained and the
+  /// caller could drain it now (for shm: the consumer token is free; its
+  /// holder re-checks after letting go). Any thread, two loads. A PE's
+  /// park predicate includes it.
+  virtual bool inbound_pending() { return false; }
+
   /// True when no wire bytes are in flight toward this process and no
   /// receive is mid-frame here. Advisory between observations; exact when
   /// sampled under a quiescent machine — the QD drain wave ANDs one sample
@@ -116,10 +152,12 @@ class Transport {
     (void)proc;
   }
 
-  /// Survivor-side, comm-thread context: installs respawned peer `proc`'s
-  /// fresh stream (`fd` < 0 when there is none to install) and discards
-  /// every half-read frame, staged envelope, and parked rendezvous still
-  /// referring to the old incarnation. `gen` is the respawn generation;
+  /// Survivor-side, from the idle hook: runs on the comm thread, which for
+  /// shm holds the consumer token while the hook runs — the token, not the
+  /// thread, is what makes touching receive state safe. Installs respawned
+  /// peer `proc`'s fresh stream (`fd` < 0 when there is none to install)
+  /// and discards every half-read frame, staged envelope, and parked
+  /// rendezvous still referring to the old incarnation. `gen` is the respawn generation;
   /// senders blocked on the dead stream resume when they observe it move.
   virtual void attach_peer(int proc, int fd, std::uint64_t gen) {
     (void)proc;

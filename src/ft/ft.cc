@@ -54,10 +54,12 @@ struct PeStore {
   std::uint64_t stage_epoch = 0;
   std::vector<char> stage;          ///< reconstructed buddy blob, staged
 
-  // Attempt stamp: set at capture, carried by async chunks. A chunk whose
-  // stamp differs from the receiver's current one is a straggler from an
-  // aborted attempt and is dropped.
+  // Attempt stamp: set at capture, carried by async chunks. A chunk stamped
+  // at or below `aborted_attempt` is a straggler from an aborted attempt and
+  // is dropped. A chunk stamped above `cur_attempt` is early, not stale: its
+  // sender ran its capture before this PE's own capture order arrived.
   std::uint64_t cur_attempt = 0;
+  std::uint64_t aborted_attempt = 0;
 
   // Async outbound stream (serialized StoreMsg toward the buddy).
   std::vector<char> outbox;
@@ -156,6 +158,12 @@ struct AckMsg {
   std::uint8_t phase = 0;  ///< 0 = capture ack, 1 = buddy-store ack
   std::uint64_t bytes = 0;
   void pup(pup::Er& p) { p | epoch | phase | bytes; }
+};
+
+struct AbortMsg {
+  std::uint64_t epoch = 0;
+  std::uint64_t attempt = 0;  ///< the aborted checkpoint_now attempt
+  void pup(pup::Er& p) { p | epoch | attempt; }
 };
 
 struct ChunkMsg {
@@ -375,7 +383,7 @@ void handle_chunk(converse::Message&& m) {
   FtState* s = g_state;
   auto cm = m.as<ChunkMsg>();
   PeStore& st = s->store[static_cast<std::size_t>(converse::my_pe())];
-  if (cm.attempt != st.cur_attempt) return;  // straggler, attempt aborted
+  if (cm.attempt <= st.aborted_attempt) return;  // straggler
   if (st.inbox_src != cm.src || st.inbox_epoch != cm.epoch) {
     st.inbox.assign(static_cast<std::size_t>(cm.total), 0);
     st.inbox_got = 0;
@@ -476,7 +484,8 @@ void handle_ckpt_ack(converse::Message&& m) {
 void handle_ckpt_abort(converse::Message&& m) {
   count_delivery();
   FtState* s = g_state;
-  const auto epoch = m.as<std::uint64_t>();
+  const auto am = m.as<AbortMsg>();
+  const std::uint64_t epoch = am.epoch;
   PeStore& st = s->store[static_cast<std::size_t>(converse::my_pe())];
   st.pending_epoch = 0;
   st.pending.clear();
@@ -492,9 +501,10 @@ void handle_ckpt_abort(converse::Message&& m) {
   st.inbox_got = 0;
   st.inbox_src = -1;
   st.inbox_epoch = 0;
-  // Straggler chunks of the aborted attempt carry a nonzero stamp and will
-  // mismatch; the replayed epoch gets a fresh stamp at its capture.
+  // Straggler chunks of the aborted attempt fall at or below the floor;
+  // the replayed epoch gets a fresh, higher stamp at its capture.
   st.cur_attempt = 0;
+  st.aborted_attempt = std::max(st.aborted_attempt, am.attempt);
   ft_send(0, h_rec_ack, AckMsg{});
 }
 
@@ -707,7 +717,9 @@ void abort_async_epoch() {
   const std::uint64_t e = s->pending_epoch;
   s->pending_epoch = 0;
   s->async_inflight = false;
-  for (int pe = 0; pe < s->npes; ++pe) ft_send(pe, h_ckpt_abort, e);
+  for (int pe = 0; pe < s->npes; ++pe) {
+    ft_send(pe, h_ckpt_abort, AbortMsg{e, s->ckpt_attempt});
+  }
   rec_wait(s->npes);
   if (s->sync_waiter != nullptr) {
     ult::Thread* t = s->sync_waiter;

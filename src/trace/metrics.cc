@@ -71,6 +71,7 @@ const char* to_string(Counter c) {
     case Counter::kWireRendezvous: return "wire-rendezvous";
     case Counter::kSpanSends: return "span-sends";
     case Counter::kWireRetries: return "wire-retries";
+    case Counter::kWirePeDrains: return "wire-pe-drains";
     case Counter::kProcKills: return "proc-kills";
     case Counter::kProcRespawns: return "proc-respawns";
     case Counter::kCount: break;

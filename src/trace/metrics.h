@@ -52,8 +52,8 @@ enum class Counter : int {
   kFtAsyncChunks,  ///< bounded stream chunks sent by async checkpointing
   kFtDirtyPages,   ///< pages caught by the write barrier between epochs
   // Cross-process wire transports (converse/transport). Sent-side counters
-  // land in the sending PE's slot; delivered lands in the comm thread's
-  // shared slot (it never binds a PE).
+  // land in the sending PE's slot; delivered lands in the draining thread's
+  // slot (the shared slot when the comm thread drained).
   kWireSentFrames,  ///< frames pushed onto a ring / written to a socket
   kWireSentBytes,   ///< payload bytes shipped over the wire
   kWireDelivered,   ///< messages enqueued from the wire to a local PE
@@ -61,6 +61,7 @@ enum class Counter : int {
   kWireRendezvous,  ///< rendezvous (RTS/CTS/DATA) transfers initiated
   kSpanSends,       ///< send_spans() calls (scatter-gather message sends)
   kWireRetries,     ///< transient socket errors retried (EAGAIN/EPIPE/ECONNRESET)
+  kWirePeDrains,    ///< shm frames popped by PE threads (not the comm thread)
   // Process-tier fault tolerance (cross-process FT).
   kProcKills,       ///< whole processes SIGKILLed / declared dead
   kProcRespawns,    ///< dead processes respawned by the zygote

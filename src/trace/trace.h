@@ -130,6 +130,33 @@ void unbind_pe();
 /// deliver/reassembly/rendezvous events land on their own track.
 void bind_comm();
 
+/// Scoped bind_comm(): while alive, the calling thread's emits land on the
+/// wire ring, and its previous binding is restored on destruction. The wire
+/// ring is single-writer, so only the holder of the shm transport's
+/// consumer token opens one. One branch when tracing is off.
+class WireScope {
+ public:
+  WireScope() : on_(detail::g_on) {
+    if (!on_) return;
+    saved_ring_ = detail::t_tls.ring;
+    saved_epoch_ = detail::t_tls.epoch;
+    bind_comm();
+  }
+  ~WireScope() {
+    if (!on_) return;
+    detail::t_tls.ring = saved_ring_;
+    detail::t_tls.epoch = saved_epoch_;
+    detail::t_tls.tsc_age = 1u << 30;  // keep the restored ring monotonic
+  }
+  WireScope(const WireScope&) = delete;
+  WireScope& operator=(const WireScope&) = delete;
+
+ private:
+  bool on_;
+  Ring* saved_ring_ = nullptr;
+  std::uint64_t saved_epoch_ = 0;
+};
+
 /// Declares this process's place in a multi-process machine. Machine::run
 /// calls it post-fork; a part export (below) then covers only the rings
 /// this process actually wrote (its local PE range plus the wire ring)

@@ -160,18 +160,28 @@ class IntrusiveMpscChannel {
 
   /// Blocking pop with bounded spin + parking; nullptr after a wake() or
   /// spurious unpark with no data. Consumer thread only.
-  T* pop_wait() {
+  T* pop_wait() { return pop_wait([] { return false; }); }
+
+  /// pop_wait() that also gives up (returns nullptr) once `also_ready()`
+  /// holds: work the consumer polls from elsewhere, e.g. the shm wire's
+  /// inbound rings. The park predicate includes it, so a producer of that
+  /// work must publish it seq_cst and then call unpark_if_parked().
+  template <typename AlsoReady>
+  T* pop_wait(AlsoReady&& also_ready) {
     if (T* item = try_pop()) return item;
     for (int i = detail::spin_iters_before_park(); i > 0; --i) {
       detail::cpu_relax();
       if (T* item = try_pop()) return item;
+      if (also_ready()) return nullptr;
     }
     for (int i = 0; i < detail::kYieldRoundsBeforePark; ++i) {
       std::this_thread::yield();
       if (T* item = try_pop()) return item;
+      if (also_ready()) return nullptr;
     }
-    parker_.park([this] {
-      return inbox_.load(std::memory_order_seq_cst) != nullptr;
+    parker_.park([&] {
+      return inbox_.load(std::memory_order_seq_cst) != nullptr ||
+             also_ready();
     });
     return try_pop();
   }
@@ -180,16 +190,28 @@ class IntrusiveMpscChannel {
   /// elapse with no data (or on a wake/spurious unpark). Lets an otherwise
   /// idle consumer loop run periodic work (heartbeats) without busy-waiting.
   T* pop_wait_for(std::uint64_t micros) {
+    return pop_wait_for(micros, [] { return false; });
+  }
+
+  /// pop_wait_for() with the same `also_ready()` escape as pop_wait().
+  template <typename AlsoReady>
+  T* pop_wait_for(std::uint64_t micros, AlsoReady&& also_ready) {
     if (T* item = try_pop()) return item;
     for (int i = detail::spin_iters_before_park(); i > 0; --i) {
       detail::cpu_relax();
       if (T* item = try_pop()) return item;
+      if (also_ready()) return nullptr;
     }
-    parker_.park_for(micros, [this] {
-      return inbox_.load(std::memory_order_seq_cst) != nullptr;
+    parker_.park_for(micros, [&] {
+      return inbox_.load(std::memory_order_seq_cst) != nullptr ||
+             also_ready();
     });
     return try_pop();
   }
+
+  /// Wakes the consumer if it is parked; one load otherwise. For producers
+  /// of `also_ready()` work, after their seq_cst publish.
+  void unpark_if_parked() { parker_.unpark_if_parked(); }
 
   void wake() { parker_.wake(); }
 

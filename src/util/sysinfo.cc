@@ -8,6 +8,8 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <fstream>
+#include <string>
 
 namespace mfc {
 
@@ -19,6 +21,23 @@ SysInfo query_sysinfo() {
     info.os = std::string(un.sysname) + " " + un.release;
   }
   info.ncpus = static_cast<int>(sysconf(_SC_NPROCESSORS_ONLN));
+  {
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.rfind("model name", 0) == 0 &&
+          line.find(':') != std::string::npos) {
+        info.cpu_model = line.substr(line.find(':') + 1);
+        info.cpu_model.erase(0, info.cpu_model.find_first_not_of(' '));
+        break;
+      }
+    }
+  }
+  {
+    std::ifstream in("/sys/devices/system/cpu/cpu0/cpufreq/scaling_governor");
+    std::string line;
+    if (std::getline(in, line) && !line.empty()) info.governor = line;
+  }
   info.page_size = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
   const long phys_pages = sysconf(_SC_PHYS_PAGES);
   if (phys_pages > 0) {

@@ -10,6 +10,8 @@ struct SysInfo {
   std::string arch;          ///< e.g. "x86_64"
   std::string os;            ///< e.g. "Linux 6.1"
   int ncpus = 0;             ///< online CPU count
+  std::string cpu_model = "unavailable";  ///< /proc/cpuinfo "model name"
+  std::string governor = "unavailable";   ///< cpu0 cpufreq scaling governor
   std::size_t page_size = 0;
   std::size_t total_ram = 0;          ///< bytes, 0 when unknown
   std::size_t address_bits = 0;       ///< virtual address width

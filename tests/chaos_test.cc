@@ -16,6 +16,7 @@
 #include "ult/scheduler.h"
 #include "ult/thread.h"
 #include "util/digest.h"
+#include "util/timer.h"
 
 namespace {
 
@@ -303,6 +304,65 @@ TEST(ChaosMachine, DelayedDeliveryReordersButLosesNothing) {
       << "0.6 delay over 300 messages should reorder at least once";
   auto ps = cv::pool_stats();
   EXPECT_EQ(ps.allocated, ps.freed);
+}
+
+TEST(ChaosMachine, QuiescenceWaitsForThreadsReadiedByLateDeliveries) {
+  // A kick that sits in the delay stash while the QD token passes its PE
+  // is dispatched after the visit; its handler only readies the PE's main
+  // thread, which sends the reply a little later. A single balanced wave
+  // read in that gap (kick counted delivered, reply not yet sent) used to
+  // report quiescence with the reply still to come.
+  static int kicks[3];
+  static mfc::ult::Thread* waiters[3];
+  static std::atomic<int> replies{0};
+  static int early = 0;
+  static cv::HandlerId h_kick = cv::register_handler([](cv::Message&&) {
+    const int pe = cv::my_pe();
+    ++kicks[pe];
+    if (mfc::ult::Thread* t = waiters[pe]) {
+      waiters[pe] = nullptr;
+      cv::ready_thread(t);
+    }
+  });
+  static cv::HandlerId h_reply = cv::register_handler(
+      [](cv::Message&&) { replies.fetch_add(1); });
+  for (int pe = 0; pe < 3; ++pe) {
+    kicks[pe] = 0;
+    waiters[pe] = nullptr;
+  }
+  replies = 0;
+  early = 0;
+  cv::Machine::Config cfg;
+  cfg.npes = 3;
+  cfg.chaos = base_config(77);
+  cfg.chaos.delivery_delay = 0.5;
+  cfg.chaos.max_delay_ticks = 12;
+  constexpr int kRounds = 300;
+  cv::Machine::run(cfg, [](int pe) {
+    if (pe != 0) {
+      for (int r = 0; r < kRounds; ++r) {
+        while (kicks[pe] <= r) {
+          waiters[pe] = cv::pe_scheduler().running();
+          cv::pe_scheduler().suspend();
+        }
+        const double until = mfc::wall_time() + 20e-6;
+        while (mfc::wall_time() < until) {
+        }
+        cv::send_value(0, h_reply, r);
+      }
+      return;
+    }
+    for (int r = 0; r < kRounds; ++r) {
+      cv::send_value(1, h_kick, r);
+      cv::send_value(2, h_kick, r);
+      cv::wait_quiescence();
+      if (replies.load() != 2 * (r + 1)) ++early;
+      while (replies.load() < 2 * (r + 1)) cv::pe_scheduler().yield();
+    }
+  });
+  EXPECT_EQ(early, 0) << "wait_quiescence returned with replies still to "
+                         "be sent";
+  EXPECT_EQ(replies.load(), 2 * kRounds);
 }
 
 TEST(ChaosMachine, PoolInjectionForcesFreshAllocationsAndStaysBalanced) {
