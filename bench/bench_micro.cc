@@ -361,7 +361,7 @@ mfc::bench::MsgBenchRow median_of(int reps, Fn&& fn) {
   std::sort(runs.begin(), runs.end(),
             [](const mfc::bench::MsgBenchRow& a,
                const mfc::bench::MsgBenchRow& b) {
-              return a.seconds < b.seconds;
+              return a.ns_per_msg() < b.ns_per_msg();
             });
   return runs[runs.size() / 2];
 }
@@ -402,57 +402,79 @@ void run_converse_suite() {
   std::printf("\n");
 }
 
-// ---- tracing overhead (observability acceptance) ----
-// The same messaging workloads run tracing-off and tracing-on. With tracing
-// off the emit() sites cost one predictable branch each — indistinguishable
-// from noise here, which is the point. With tracing on every message adds
-// a 32-byte ring store at send, dispatch-begin, and dispatch-end, plus
-// ~one rdtsc read (edge-triggered — see trace.h); the acceptance bar is
-// <= 10% throughput loss on pingpong.
-// Rows land in BENCH_trace.json so the overhead is tracked across PRs.
+// ---- probe overhead: tracing and histograms (observability acceptance) ----
+// The same messaging workloads run with one probe sink off and armed: the
+// trace ring (trace suite, BENCH_trace.json) or the latency histograms
+// (obs suite, BENCH_obs.json). Off, every probe edge costs its counter
+// bump plus one predictable branch per sink. Armed, each message adds a
+// 32-byte ring store at send, dispatch-begin and dispatch-end (trace), or
+// a send-side stamp plus queue-wait and handler-service samples (stats);
+// edges that need the clock read it once (see trace/probe.h). ci_obs.sh
+// gates the obs_on/obs_off pingpong ratio.
 
-/// Runs `fn` (a whole-machine workload returning a bench row) with an
-/// explicit trace session wrapped around it when `traced`. Events are
-/// recorded at full fidelity but discarded at stop — the cost under test
-/// is the hot-path emit, not the exporter.
+/// The probe sink an overhead suite arms.
+struct Sink {
+  const char* what;  ///< "tracing" / "histograms"
+  const char* off;   ///< row modes
+  const char* on;
+  const char* json;
+  const char* bench;
+  bool trace;
+};
+constexpr Sink kTraceSink{"tracing", "trace_off", "trace_on",
+                          "BENCH_trace.json", "trace_overhead", true};
+constexpr Sink kStatsSink{"histograms", "obs_off", "obs_on", "BENCH_obs.json",
+                          "obs_overhead", false};
+
+/// Runs `fn` (a whole-machine workload returning a bench row) with `sink`
+/// armed around it when `armed`. Trace events are recorded at full
+/// fidelity but discarded at stop, and histogram slots are reset per run:
+/// the cost under test is the hot-path emit, not session setup or export,
+/// so CPU time brackets the workload only.
 template <typename Fn>
-mfc::bench::MsgBenchRow traced_run(bool traced, int npes, Fn&& fn) {
-  if (traced) mfc::trace::start(npes);
-  // CPU time brackets the workload only — ring allocation in start() and
-  // the discard in stop() are session setup, not the hot path under test.
+mfc::bench::MsgBenchRow armed_run(const Sink& sink, bool armed, int npes,
+                                  Fn&& fn) {
+  if (armed && sink.trace) mfc::trace::start(npes);
+  if (armed && !sink.trace) {
+    mfc::hist::reset(npes);
+    mfc::hist::enable(true);
+  }
   const double cpu0 = mfc::process_cpu_time();
   mfc::bench::MsgBenchRow row = fn();
   row.cpu_seconds = mfc::process_cpu_time() - cpu0;
-  if (traced) mfc::trace::stop();
-  row.mode = traced ? "trace_on" : "trace_off";
+  if (armed && sink.trace) mfc::trace::stop();
+  if (armed && !sink.trace) mfc::hist::enable(false);
+  row.mode = armed ? sink.on : sink.off;
   return row;
 }
 
-/// Measures tracing overhead for one workload with PAIRED reps: each rep
-/// runs trace-off then trace-on back-to-back, so slow drift on a
-/// shared/virtualized host (frequency steps, co-tenant load) lands on
-/// both sides instead of entirely on whichever phase ran last.
+/// Measures an overhead with PAIRED reps: each rep runs `off` then `on`
+/// back-to-back, so slow drift on a shared/virtualized host (frequency
+/// steps, co-tenant load) lands on both sides instead of entirely on
+/// whichever phase ran last. Returns the median per-rep on/off ratio as a
+/// percent; the rows recorded are the pair whose ratio is the median.
 ///
-/// The overhead ratio is computed on process CPU TIME, as the median of
-/// the per-rep paired ratios. This host has ONE core, so the PE threads
-/// are fully oversubscribed and the wall clock of a latency workload
-/// mostly measures kernel scheduling (futex wakes, preemption quanta)
-/// the tracing layer never touches. CPU time counts only work our
-/// process did, but its cost-per-op still drifts minute to minute
-/// (frequency scaling, co-tenant cache contention) — so each rep's
-/// off/on pair runs back-to-back within a few milliseconds and is
-/// compared only against itself; the median ratio then rejects the reps
-/// a preemption landed in. The rows recorded in BENCH_trace.json are
-/// the pair whose ratio is the median.
-template <typename Fn>
-double paired_overhead_pct(int reps, int npes, Fn&& fn,
-                           std::vector<mfc::bench::MsgBenchRow>& rows) {
+/// The ratio is on process CPU TIME by default. When PE threads outnumber
+/// the cores, the wall clock of a latency workload mostly measures kernel
+/// scheduling (futex wakes, preemption quanta) the code under test never
+/// touches; CPU time counts only work our process did. Its cost per op
+/// still drifts minute to minute, so each pair is compared only against
+/// itself and the median rejects the reps a preemption landed in. `wall`
+/// selects wall time, for workloads running in forked children that
+/// CLOCK_PROCESS_CPUTIME_ID cannot see.
+template <typename Off, typename On>
+double paired_overhead_pct(int reps, Off&& off, On&& on,
+                           std::vector<mfc::bench::MsgBenchRow>& rows,
+                           bool wall = false) {
   std::vector<mfc::bench::MsgBenchRow> offs, ons;
   std::vector<std::pair<double, int>> ratios;
   for (int i = 0; i < reps; ++i) {
-    offs.push_back(traced_run(false, npes, fn));
-    ons.push_back(traced_run(true, npes, fn));
-    ratios.emplace_back(ons.back().cpu_seconds / offs.back().cpu_seconds, i);
+    offs.push_back(off());
+    ons.push_back(on());
+    ratios.emplace_back(
+        wall ? ons.back().seconds / offs.back().seconds
+             : ons.back().cpu_seconds / offs.back().cpu_seconds,
+        i);
   }
   std::sort(ratios.begin(), ratios.end());
   const int mid = ratios[ratios.size() / 2].second;
@@ -463,12 +485,10 @@ double paired_overhead_pct(int reps, int npes, Fn&& fn,
   return (ratios[ratios.size() / 2].first - 1.0) * 100.0;
 }
 
-void run_trace_suite() {
+void run_overhead_suite(const Sink& sink) {
   constexpr int kNpes = 4;
-  // Short reps, many of them: on the one-core host the kernel's
-  // preemption quantum is in the same millisecond range as a rep, so a
-  // ~1.5 ms rep often lands between preemptions while a long rep always
-  // absorbs several — and the median paired ratio then has a majority of
+  // Short reps (~1.5 ms), many of them: a rep often lands between the
+  // kernel's preemptions, so the median paired ratio has a majority of
   // clean samples to settle on.
   constexpr int kReps = 21;
   constexpr int kOneDeepMsgs = 2000;
@@ -476,118 +496,34 @@ void run_trace_suite() {
   constexpr int kMsgsPerBall = 1250;
   constexpr int kBcastPerPe = 10000;
 
-  std::printf(
-      "# tracing overhead: paired trace off/on reps, median cpu-time ratio "
-      "of %d (npes=%d)\n",
-      kReps, kNpes);
+  std::printf("# %s overhead: paired %s/%s reps, median cpu-time ratio of %d "
+              "(npes=%d)\n",
+              sink.what, sink.off, sink.on, kReps, kNpes);
   std::vector<mfc::bench::MsgBenchRow> rows;
+  const auto paired = [&](int npes, auto fn) {
+    return paired_overhead_pct(
+        kReps, [&] { return armed_run(sink, false, npes, fn); },
+        [&] { return armed_run(sink, true, npes, fn); }, rows);
+  };
   // The acceptance row: classic 1-deep latency pingpong, where each
-  // message pays a real cross-PE round trip. Two PEs (one ball): with the
-  // host's single core, every extra PE thread multiplies kernel-scheduler
-  // churn that swamps the ~35 ns/leg under test. The windowed variant
-  // below is the worst case — the ~70 ns/msg inline fast path where three
-  // timestamped events cost a visible fraction by construction.
-  const double pingpong_pct = paired_overhead_pct(kReps, 2, [&] {
-    return run_pingpong("pingpong", 2, 1, kOneDeepMsgs);
-  }, rows);
-  const double windowed_pct = paired_overhead_pct(kReps, kNpes, [&] {
-    return run_pingpong("pingpong_windowed", kNpes, kWindow, kMsgsPerBall);
-  }, rows);
-  const double bcast_pct = paired_overhead_pct(kReps, kNpes, [&] {
-    return run_broadcast_storm(kNpes, kBcastPerPe);
-  }, rows);
-  std::printf("# %-16s tracing-on overhead (cpu): %s%%\n", "pingpong",
-              mfc::format_double(pingpong_pct, 1).c_str());
-  std::printf("# %-16s tracing-on overhead (cpu): %s%%\n", "pingpong_windowed",
-              mfc::format_double(windowed_pct, 1).c_str());
-  std::printf("# %-16s tracing-on overhead (cpu): %s%%\n", "broadcast_storm",
-              mfc::format_double(bcast_pct, 1).c_str());
-  if (!mfc::bench::write_msg_bench_json("BENCH_trace.json", "trace_overhead",
-                                        rows)) {
-    std::fprintf(stderr, "warning: could not write BENCH_trace.json\n");
+  // message pays a real cross-PE round trip, on two PEs (one ball). The
+  // windowed variant is the worst case — the ~70 ns/msg inline fast path
+  // where three probed events cost a visible fraction by construction.
+  const double pct[] = {
+      paired(2, [] { return run_pingpong("pingpong", 2, 1, kOneDeepMsgs); }),
+      paired(kNpes,
+             [] {
+               return run_pingpong("pingpong_windowed", kNpes, kWindow,
+                                   kMsgsPerBall);
+             }),
+      paired(kNpes, [] { return run_broadcast_storm(kNpes, kBcastPerPe); })};
+  const char* names[] = {"pingpong", "pingpong_windowed", "broadcast_storm"};
+  for (int i = 0; i < 3; ++i) {
+    std::printf("# %-16s %s-on overhead (cpu): %s%%\n", names[i], sink.what,
+                mfc::format_double(pct[i], 1).c_str());
   }
-  std::printf("\n");
-}
-
-// ---- histogram overhead (observability plane acceptance) ----
-// The same messaging workloads run with the latency histograms off and
-// armed. With histograms off every instrumentation site costs one
-// predictable branch on hist::on(). Armed, each message pays a send-side
-// rdtsc stamp plus two recorded samples at dispatch (queue-wait and
-// handler-service: one rdtsc each and a relaxed single-writer bucket
-// bump). The acceptance bar is <= 10% cpu-time loss on pingpong; rows
-// land in BENCH_obs.json and ci_obs.sh gates the obs_on/obs_off ratio.
-
-/// Runs `fn` (a whole-machine workload returning a bench row) with the
-/// histogram registry armed around it when `armed`. The slots are reset
-/// per run so bucket bumps never contend with a stale geometry; the
-/// snapshot/dump path is not under test here, only the hot-path record.
-template <typename Fn>
-mfc::bench::MsgBenchRow hist_run(bool armed, int npes, Fn&& fn) {
-  if (armed) {
-    mfc::hist::reset(npes);
-    mfc::hist::enable(true);
-  }
-  const double cpu0 = mfc::process_cpu_time();
-  mfc::bench::MsgBenchRow row = fn();
-  row.cpu_seconds = mfc::process_cpu_time() - cpu0;
-  if (armed) mfc::hist::enable(false);
-  row.mode = armed ? "obs_on" : "obs_off";
-  return row;
-}
-
-/// Paired off/on reps with the median-ratio methodology of
-/// paired_overhead_pct above (same one-core host rationale).
-template <typename Fn>
-double paired_hist_overhead_pct(int reps, int npes, Fn&& fn,
-                                std::vector<mfc::bench::MsgBenchRow>& rows) {
-  std::vector<mfc::bench::MsgBenchRow> offs, ons;
-  std::vector<std::pair<double, int>> ratios;
-  for (int i = 0; i < reps; ++i) {
-    offs.push_back(hist_run(false, npes, fn));
-    ons.push_back(hist_run(true, npes, fn));
-    ratios.emplace_back(ons.back().cpu_seconds / offs.back().cpu_seconds, i);
-  }
-  std::sort(ratios.begin(), ratios.end());
-  const int mid = ratios[ratios.size() / 2].second;
-  rows.push_back(offs[static_cast<std::size_t>(mid)]);
-  print_row(rows.back());
-  rows.push_back(ons[static_cast<std::size_t>(mid)]);
-  print_row(rows.back());
-  return (ratios[ratios.size() / 2].first - 1.0) * 100.0;
-}
-
-void run_obs_suite() {
-  constexpr int kNpes = 4;
-  constexpr int kReps = 21;
-  constexpr int kOneDeepMsgs = 2000;
-  constexpr int kWindow = 16;
-  constexpr int kMsgsPerBall = 1250;
-  constexpr int kBcastPerPe = 10000;
-
-  std::printf(
-      "# histogram overhead: paired obs off/on reps, median cpu-time ratio "
-      "of %d (npes=%d)\n",
-      kReps, kNpes);
-  std::vector<mfc::bench::MsgBenchRow> rows;
-  const double pingpong_pct = paired_hist_overhead_pct(kReps, 2, [&] {
-    return run_pingpong("pingpong", 2, 1, kOneDeepMsgs);
-  }, rows);
-  const double windowed_pct = paired_hist_overhead_pct(kReps, kNpes, [&] {
-    return run_pingpong("pingpong_windowed", kNpes, kWindow, kMsgsPerBall);
-  }, rows);
-  const double bcast_pct = paired_hist_overhead_pct(kReps, kNpes, [&] {
-    return run_broadcast_storm(kNpes, kBcastPerPe);
-  }, rows);
-  std::printf("# %-16s histograms-on overhead (cpu): %s%%\n", "pingpong",
-              mfc::format_double(pingpong_pct, 1).c_str());
-  std::printf("# %-16s histograms-on overhead (cpu): %s%%\n",
-              "pingpong_windowed", mfc::format_double(windowed_pct, 1).c_str());
-  std::printf("# %-16s histograms-on overhead (cpu): %s%%\n",
-              "broadcast_storm", mfc::format_double(bcast_pct, 1).c_str());
-  if (!mfc::bench::write_msg_bench_json("BENCH_obs.json", "obs_overhead",
-                                        rows)) {
-    std::fprintf(stderr, "warning: could not write BENCH_obs.json\n");
+  if (!mfc::bench::write_msg_bench_json(sink.json, sink.bench, rows)) {
+    std::fprintf(stderr, "warning: could not write %s\n", sink.json);
   }
   std::printf("\n");
 }
@@ -658,20 +594,9 @@ void run_ft_suite() {
               kReps, kEvery);
   std::vector<mfc::bench::MsgBenchRow> rows;
   for (const Workload& w : workloads) {
-    std::vector<mfc::bench::MsgBenchRow> offs, ons;
-    std::vector<std::pair<double, int>> ratios;
-    for (int i = 0; i < kReps; ++i) {
-      offs.push_back(run_ft_storm(w.name, w.technique, 0));
-      ons.push_back(run_ft_storm(w.name, w.technique, kEvery));
-      ratios.emplace_back(ons.back().cpu_seconds / offs.back().cpu_seconds, i);
-    }
-    std::sort(ratios.begin(), ratios.end());
-    const int mid = ratios[ratios.size() / 2].second;
-    rows.push_back(offs[static_cast<std::size_t>(mid)]);
-    conv_bench::print_row(rows.back());
-    rows.push_back(ons[static_cast<std::size_t>(mid)]);
-    conv_bench::print_row(rows.back());
-    const double pct = (ratios[ratios.size() / 2].first - 1.0) * 100.0;
+    const double pct = conv_bench::paired_overhead_pct(
+        kReps, [&] { return run_ft_storm(w.name, w.technique, 0); },
+        [&] { return run_ft_storm(w.name, w.technique, kEvery); }, rows);
     std::printf("# %-20s checkpoint overhead (cpu): %s%% (bar: <= 15%%)\n",
                 w.name, mfc::format_double(pct, 1).c_str());
   }
@@ -728,7 +653,7 @@ mfc::bench::MsgBenchRow run_ftx_storm(const char* name, int checkpoint_every) {
 }
 
 void run_ftx_suite() {
-  // Whole-machine wall-time runs on a shared 1-core host wobble; 9 paired
+  // Whole-machine wall-time runs on a shared host wobble; 9 paired
   // reps keep the median ratio clear of the 15% gate's noise floor.
   constexpr int kReps = 9;
   constexpr int kEvery = 10;
@@ -736,21 +661,11 @@ void run_ftx_suite() {
               "4-proc shm storms, median wall-time ratio of %d reps "
               "(checkpoint every %d rounds)\n",
               kReps, kEvery);
-  std::vector<mfc::bench::MsgBenchRow> offs, ons;
-  std::vector<std::pair<double, int>> ratios;
-  for (int i = 0; i < kReps; ++i) {
-    offs.push_back(run_ftx_storm("ftx_storm", 0));
-    ons.push_back(run_ftx_storm("ftx_storm", kEvery));
-    ratios.emplace_back(ons.back().seconds / offs.back().seconds, i);
-  }
-  std::sort(ratios.begin(), ratios.end());
-  const int mid = ratios[ratios.size() / 2].second;
   std::vector<mfc::bench::MsgBenchRow> rows;
-  rows.push_back(offs[static_cast<std::size_t>(mid)]);
-  conv_bench::print_row(rows.back());
-  rows.push_back(ons[static_cast<std::size_t>(mid)]);
-  conv_bench::print_row(rows.back());
-  const double pct = (ratios[ratios.size() / 2].first - 1.0) * 100.0;
+  const double pct = conv_bench::paired_overhead_pct(
+      kReps, [] { return run_ftx_storm("ftx_storm", 0); },
+      [] { return run_ftx_storm("ftx_storm", kEvery); }, rows,
+      /*wall=*/true);
   std::printf("# ftx_storm cross-process checkpoint overhead (wall): %s%% "
               "(bar: <= 15%%)\n",
               mfc::format_double(pct, 1).c_str());
@@ -998,20 +913,9 @@ void run_migrate_suite() {
                         {"ft_storm_incremental", 1, 2.0},
                         {"ft_storm_async", 2, 2.0}};
   for (const Mode& m : modes) {
-    std::vector<mfc::bench::MsgBenchRow> offs, ons;
-    std::vector<std::pair<double, int>> ratios;
-    for (int i = 0; i < kReps; ++i) {
-      offs.push_back(run_mode_storm(m.name, m.ft_mode, 10000));
-      ons.push_back(run_mode_storm(m.name, m.ft_mode, kEvery));
-      ratios.emplace_back(ons.back().cpu_seconds / offs.back().cpu_seconds, i);
-    }
-    std::sort(ratios.begin(), ratios.end());
-    const int mid = ratios[ratios.size() / 2].second;
-    rows.push_back(offs[static_cast<std::size_t>(mid)]);
-    conv_bench::print_row(rows.back());
-    rows.push_back(ons[static_cast<std::size_t>(mid)]);
-    conv_bench::print_row(rows.back());
-    const double raw = (ratios[ratios.size() / 2].first - 1.0) * 100.0;
+    const double raw = conv_bench::paired_overhead_pct(
+        kReps, [&] { return run_mode_storm(m.name, m.ft_mode, 10000); },
+        [&] { return run_mode_storm(m.name, m.ft_mode, kEvery); }, rows);
     const double scaled = raw * kEpochsPr4 / kEpochsMeasured;
     std::printf(
         "# %-20s checkpoint overhead (cpu): %s%% at %d epochs -> %s%% at "
@@ -1036,7 +940,8 @@ void run_migrate_suite() {
 // every cross-PE message through the codec — same process so the numbers
 // isolate the transport, not fork/scheduling noise):
 //
-//   stream64     64-byte message flood PE0 -> PE1, one row per backend.
+//   stream64     64-byte message floods PE0 -> PE1, one row per backend;
+//                each rep repeats the flood for >= ~200 ms, median of 7.
 //                The acceptance bar (gated by scripts/ci_transport.sh via
 //                bench_compare.py --max-ratio) is shm <= 3x the in-process
 //                ns/msg: the ring adds a copy into the segment, a copy out,
@@ -1118,29 +1023,32 @@ const char* backend_mode(cv::Machine::Config::Transport t) {
   return "?";
 }
 
+/// Floods of `msgs` messages, back to back in one machine run until at
+/// least `min_seconds` have passed. Each flood ends when PE 1 acks its last
+/// message, so at most `msgs` are ever in flight however long the rep runs.
 mfc::bench::MsgBenchRow run_stream64(cv::Machine::Config::Transport t,
-                                     int msgs) {
+                                     int msgs, double min_seconds) {
+  std::uint64_t sent = 0;
   ensure_handlers();
   cv::Machine::run(wire_config(t, 256 * 1024), [&](int pe) {
-    // Sink state must exist before the first flood message can dispatch,
-    // i.e. before this PE enters the barrier, not after it returns.
-    if (pe == 0) {
-      g_sender = cv::pe_scheduler().running();
-    } else {
-      g_expect = msgs;
-    }
+    if (pe == 0) g_sender = cv::pe_scheduler().running();
     cv::barrier();
     if (pe == 0) {
       g_t0 = mfc::wall_time();
       const Cell64 cell;
-      for (int i = 0; i < msgs; ++i) cv::send_value(1, h_stream, cell);
-      cv::pe_scheduler().suspend();
-      g_t1 = mfc::wall_time();
+      do {
+        // PE 1 is idle (it acked the previous flood), and the first send
+        // publishes this store to it.
+        g_expect = msgs;
+        for (int i = 0; i < msgs; ++i) cv::send_value(1, h_stream, cell);
+        cv::pe_scheduler().suspend();
+        sent += static_cast<std::uint64_t>(msgs);
+        g_t1 = mfc::wall_time();
+      } while (g_t1 - g_t0 < min_seconds);
     }
     cv::barrier();
   });
-  return {"stream64", backend_mode(t), 2, static_cast<std::uint64_t>(msgs),
-          g_t1 - g_t0};
+  return {"stream64", backend_mode(t), 2, sent, g_t1 - g_t0};
 }
 
 mfc::bench::MsgBenchRow run_pingpong_1deep(cv::Machine::Config::Transport t,
@@ -1217,20 +1125,26 @@ mfc::bench::MsgBenchRow run_image_ships(const char* name, bool rendezvous,
 
 void run_transport_suite() {
   constexpr int kReps = 3;
+  // stream64 reps last >= ~200 ms each and the row is the median of 7: a
+  // single 3-10 ms flood is dominated by scheduling luck.
+  constexpr int kStreamReps = 7;
+  constexpr double kStreamRepSeconds = 0.25;
   constexpr int kStreamMsgs = 20000;
   constexpr int kImageReps = 40;
   constexpr int kPingReps = 5;
   constexpr int kHops = 20000;
 
   std::printf("# machine-layer wire transports, loopback mode (npes=2, "
-              "median of %d; pingpong_1deep median of %d)\n",
-              kReps, kPingReps);
+              "stream64 median of %d reps >= %.2f s; pingpong_1deep median "
+              "of %d; images median of %d)\n",
+              kStreamReps, kStreamRepSeconds, kPingReps, kReps);
   std::vector<mfc::bench::MsgBenchRow> rows;
   for (const auto t : {cv::Machine::Config::Transport::kInProc,
                        cv::Machine::Config::Transport::kShm,
                        cv::Machine::Config::Transport::kSocket}) {
-    rows.push_back(conv_bench::median_of(
-        kReps, [&] { return run_stream64(t, kStreamMsgs); }));
+    rows.push_back(conv_bench::median_of(kStreamReps, [&] {
+      return run_stream64(t, kStreamMsgs, kStreamRepSeconds);
+    }));
     conv_bench::print_row(rows.back());
   }
   std::printf("# shm/inproc ns-per-msg ratio: %.2fx (acceptance bar: <= 3x, "
@@ -1285,8 +1199,8 @@ int main(int argc, char** argv) {
     return suite == nullptr || std::strcmp(suite, name) == 0;
   };
   if (want("converse")) conv_bench::run_converse_suite();
-  if (want("trace")) conv_bench::run_trace_suite();
-  if (want("obs")) conv_bench::run_obs_suite();
+  if (want("trace")) conv_bench::run_overhead_suite(conv_bench::kTraceSink);
+  if (want("obs")) conv_bench::run_overhead_suite(conv_bench::kStatsSink);
   if (want("ft")) ft_bench::run_ft_suite();
   if (want("ftx")) ftx_bench::run_ftx_suite();
   if (want("migrate")) migrate_bench::run_migrate_suite();

@@ -1,9 +1,13 @@
 #!/bin/sh
-# CI job: observability plane — histograms, flight recorder, clock-aligned
-# trace merge.
+# CI job: observability plane — the probe's sinks (counters, trace ring,
+# histograms, flight recorder) and the clock-aligned trace merge.
 #
-# Phase 1 runs the tests carrying the `obs` CTest label under the release
-# preset: histogram bucket geometry and quantiles, snapshot merge algebra,
+# Phase 1 runs the tests carrying the `trace` CTest label (ring/metrics
+# units plus the machine-run exporter validator: valid JSON, one track per
+# PE, nested spans, cross-PE flow arrows), then those carrying the `obs`
+# label under the release preset: the probe's event table (one emit feeds
+# every sink it names; event-derived counters equal traced event counts),
+# histogram bucket geometry and quantiles, snapshot merge algebra,
 # metrics snapshot provenance, flight recorder note/freeze/dump semantics,
 # trace-part round trips with byte-identical re-merges, the fork-based
 # multi-process merge legs (Machine::run's shutdown must leave one aligned
@@ -11,7 +15,11 @@
 # 4-process migrate pack→unpack arrow), and the black-box contract: an FT
 # kill storm with MFC_TRACE off still dumps the flight recorder.
 #
-# Phase 2 drives the acceptance paths end to end. MFC_STATS=1 on the
+# Phase 2 drives the acceptance paths end to end. MFC_TRACE=1 on a real
+# chaos-storm run (message traffic + thread and element migrations) must
+# export Chrome trace-event JSON with events from every PE, B/E spans and
+# s/f flow arrows; the export lands in build-release/ and can be dropped
+# straight into https://ui.perfetto.dev for triage. MFC_STATS=1 on the
 # 4-process / 64-PE migration storm leaves one stats dump per process,
 # each carrying its own provenance and populated latency histograms with
 # ordered quantiles. A two-process traced storm then leaves the machine's
@@ -19,7 +27,7 @@
 # (tools/trace_merge) must reproduce the machine's merge byte for byte.
 #
 # Phase 3 reruns the histogram-overhead bench suite (paired obs off/on
-# reps, median cpu-time ratio — BENCH_trace.json's methodology) and gates
+# reps, median cpu-time ratio — the trace suite's methodology) and gates
 # two ways with bench_compare.py: the fresh rows must be within tolerance
 # of the checked-in BENCH_obs.json, and — the absolute acceptance bar —
 # the histogram-instrumented pingpong must cost no more than 1.10x the
@@ -34,7 +42,42 @@ cd "$(dirname "$0")/.."
 
 cmake --preset release
 cmake --build --preset release -j"$(nproc)"
+ctest --preset trace
 ctest --preset obs
+
+# Traced storm: every PE has a track, with duration spans and flow arrows.
+out="build-release/ci_storm_trace.json"
+rm -f "$out"
+# quiet_options in stress_storm_test: 4 PEs, 6 workers, 6 rounds.
+MFC_TRACE=1 MFC_TRACE_FILE="$out" \
+  ./build-release/tests/stress_storm_test \
+  --gtest_filter='Storm.CleanRunWithoutChaos'
+test -s "$out" || { echo "FAIL: storm exported no trace"; exit 1; }
+
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$out" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    doc = json.load(f)
+events = doc["traceEvents"]
+tids = {e["tid"] for e in events if e["ph"] != "M"}
+missing = [pe for pe in range(4) if pe not in tids]
+assert not missing, f"PEs with no events: {missing}"
+phases = {e["ph"] for e in events}
+assert {"B", "E"} <= phases, "no duration spans in storm trace"
+assert {"s", "f"} <= phases, "no flow arrows in storm trace"
+print(f"ok: {len(events)} events across PEs {sorted(tids)}")
+EOF
+else
+  # Weak fallback when python3 is absent: per-PE track names and span
+  # markers must at least be present in the raw text.
+  for pe in 0 1 2 3; do
+    grep -q "\"name\":\"PE $pe\"" "$out" \
+      || { echo "FAIL: no track for PE $pe"; exit 1; }
+  done
+  grep -q '"ph":"B"' "$out" || { echo "FAIL: no duration spans"; exit 1; }
+  grep -q '"ph":"s"' "$out" || { echo "FAIL: no flow arrows"; exit 1; }
+fi
 
 # Acceptance storm with stats armed: one provenance-stamped dump per proc.
 stats="ci_obs_stats.json"

@@ -6,9 +6,7 @@
 #include <mutex>
 #include <vector>
 
-#include "trace/flight.h"
-#include "trace/metrics.h"
-#include "trace/trace.h"
+#include "trace/probe.h"
 #include "ult/scheduler.h"
 #include "util/check.h"
 
@@ -71,9 +69,8 @@ State* state() {
 /// replayed timeline is self-describing) and counted in the registry.
 void record_fired(State& s, Point p) {
   s.fired[static_cast<int>(p)].fetch_add(1, std::memory_order_relaxed);
-  metrics::bump(metrics::Counter::kChaosInjections);
-  trace::emit_flight(trace::Ev::kChaosInject, s.seed, 0, 0, -1,
-                     static_cast<std::uint8_t>(p));
+  probe::emit(probe::Ev::kChaosInject, s.seed, 0, 0, -1,
+              static_cast<std::uint8_t>(p));
 }
 
 double probability(const Config& c, Point p) {

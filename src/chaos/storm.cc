@@ -22,10 +22,7 @@
 #include "migrate/memalias_thread.h"
 #include "migrate/stackcopy_thread.h"
 #include "pup/pup.h"
-#include "trace/flight.h"
-#include "trace/hist.h"
-#include "trace/metrics.h"
-#include "trace/trace.h"
+#include "trace/probe.h"
 #include "ult/scheduler.h"
 #include "util/check.h"
 #include "util/digest.h"
@@ -851,8 +848,8 @@ void ft_on_recovered(std::uint64_t epoch) {
     current[w] = g->itinerary[w][static_cast<std::size_t>(g->ft_resume_round)];
   }
   const lb::Mapping next = lb::refine_lb(loads, current, g->opt.npes);
-  trace::emit_flight(
-      trace::Ev::kLbDecision, 0,
+  probe::emit(
+      probe::Ev::kLbDecision, 0,
       static_cast<std::uint32_t>(lb::migration_count(current, next)));
 
   g->ft_phase = StormGlobal::FtPhase::kResumePending;
@@ -974,8 +971,7 @@ void checker_main(charm::ArrayBase* array) {
     // rounds) must not re-emit their marker: the digest counts every round
     // exactly once.
     if (r > g->ft_max_marked_round) {
-      trace::emit_flight(trace::Ev::kStormRound, 0,
-                         static_cast<std::uint32_t>(r));
+      probe::emit(probe::Ev::kStormRound, 0, static_cast<std::uint32_t>(r));
       g->ft_max_marked_round = r;
     }
     converse::broadcast(h_release, pup::to_bytes(std::int32_t{r}));

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <mutex>
 
-#include "trace/flight.h"
-#include "trace/metrics.h"
-#include "trace/trace.h"
+#include "trace/probe.h"
 #include "util/check.h"
 #include "util/digest.h"
 #include "util/timer.h"
@@ -223,11 +221,10 @@ void ArrayBase::migrate(int index, int dest_pe) {
   const std::uint32_t epoch = it->second->hop_epoch_ + 1;
   ArriveMsg arrive{id_, index, epoch, pup::to_bytes(*it->second)};
   local_.erase(it);
-  trace::emit_flight(trace::Ev::kElemDepart, elem_flow_id(id_, index, epoch),
+  probe::emit(probe::Ev::kElemDepart, elem_flow_id(id_, index, epoch),
               static_cast<std::uint32_t>(index),
               static_cast<std::uint32_t>(arrive.state.size()),
               static_cast<std::int16_t>(dest_pe));
-  metrics::bump(metrics::Counter::kElemMigrations);
   DepartMsg depart{id_, index, epoch};
   converse::send_value(home_pe(index), h_departed, depart);
   converse::send_value(dest_pe, h_arrive, arrive);
@@ -243,7 +240,7 @@ void ArrayBase::handle_departed(int index, std::uint32_t epoch) {
 
 void ArrayBase::handle_arrive(int index, std::uint32_t epoch,
                               const std::vector<char>& state) {
-  trace::emit_flight(trace::Ev::kElemArrive, elem_flow_id(id_, index, epoch),
+  probe::emit(probe::Ev::kElemArrive, elem_flow_id(id_, index, epoch),
               static_cast<std::uint32_t>(index),
               static_cast<std::uint32_t>(state.size()));
   auto elem = factory_(index);

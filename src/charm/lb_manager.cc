@@ -3,8 +3,7 @@
 #include <mutex>
 #include <utility>
 
-#include "trace/metrics.h"
-#include "trace/trace.h"
+#include "trace/probe.h"
 #include "util/check.h"
 
 namespace mfc::charm {
@@ -71,13 +70,12 @@ void decide_and_issue(ArrayBase& array, std::vector<ReportMsg> reports) {
   base.imbalance_before = lb::mapping_imbalance(loads, current, npes);
   base.imbalance_after = lb::mapping_imbalance(loads, next, npes);
 
-  // The decision instant on PE0's track: size carries the post-balance
-  // imbalance scaled to per-mille so the record stays integer-only.
-  trace::emit(trace::Ev::kLbDecision, 0,
+  // The decision instant on PE0's track (a = migrations, which the probe
+  // also counts): size carries the post-balance imbalance scaled to
+  // per-mille so the record stays integer-only.
+  probe::emit(probe::Ev::kLbDecision, 0,
               static_cast<std::uint32_t>(base.migrations_total),
               static_cast<std::uint32_t>(base.imbalance_after * 1000.0));
-  metrics::bump(metrics::Counter::kLbMigrations,
-                static_cast<std::uint64_t>(base.migrations_total));
 
   // One orders message per PE, containing only that PE's departures.
   for (int pe = 0; pe < npes; ++pe) {

@@ -19,18 +19,13 @@
 #include <unordered_map>
 
 #include "converse/transport.h"
-#include "trace/flight.h"
-#include "trace/hist.h"
-#include "trace/metrics.h"
-#include "trace/trace.h"
+#include "trace/probe.h"
 #include "util/check.h"
 #include "util/log.h"
 #include "util/queue.h"
 #include "util/timer.h"
 
 namespace mfc::converse {
-
-namespace flight = trace::flight;
 
 namespace {
 
@@ -441,28 +436,19 @@ Message* pool_acquire(Pe* pe) {
   return pool_take(pe);
 }
 
-/// Fast-path delivery: one acquire load for the handler, no lock. With the
-/// latency histograms armed (MFC_STATS) it also settles the message's
-/// enqueue stamp into queue-wait and brackets the handler into service
-/// time — two extra rdtsc reads per message, behind the same predictable
-/// off-by-default branch the trace gate uses.
+/// Fast-path delivery: one acquire load for the handler, no lock. The two
+/// probe edges count the delivery and, with the latency histograms armed
+/// (MFC_STATS), settle the message's enqueue stamp into queue-wait and
+/// bracket the handler into service time — one clock read per edge.
 void dispatch(Message* m) {
   HandlerFn* fn = handler_lookup(m->handler);
-  metrics::bump(Counter::kMsgsDelivered);
   const HandlerId h = m->handler;
-  trace::emit(trace::Ev::kHandlerBegin, m->trace_flow, h,
-              static_cast<std::uint32_t>(m->payload.size()),
-              static_cast<std::int16_t>(m->src_pe));
-  std::uint64_t t0 = 0;
-  if (hist::on()) {
-    t0 = rdtsc();
-    if (m->stamp != 0 && t0 > m->stamp) {
-      hist::record(hist::Hist::kQueueWait, t0 - m->stamp);
-    }
-  }
+  const std::uint64_t t0 = probe::emit(
+      probe::Ev::kHandlerBegin, m->trace_flow, h,
+      static_cast<std::uint32_t>(m->payload.size()),
+      static_cast<std::int16_t>(m->src_pe), 0, m->stamp);
   (*fn)(std::move(*m));
-  if (t0 != 0) hist::record(hist::Hist::kHandlerService, rdtsc() - t0);
-  trace::emit(trace::Ev::kHandlerEnd, 0, h);
+  probe::emit(probe::Ev::kHandlerEnd, 0, h, 0, -1, 0, t0);
   release_message(m);
 }
 
@@ -504,14 +490,11 @@ void enqueue_or_inline(int dest_pe, Message* m) {
 void pe_loop(Pe* pe, const std::function<void(int)>& entry) {
   t_pe = pe;
   ult::Scheduler::set_current(&pe->sched);
-  // Bind this kernel thread to its per-PE metrics slot and trace ring
-  // (no-ops when the registry is unsized / no trace session is active),
-  // plus the PE's chaos decision streams and — in deterministic-schedule
-  // mode — the scheduler's seeded choice RNG.
-  metrics::bind_pe(pe->id);
-  trace::bind_pe(pe->id);
-  hist::bind_pe(pe->id);
-  flight::bind_pe(pe->id);
+  // Bind this kernel thread to its PE's share of every probe sink
+  // (counters, histograms, trace ring, flight track), plus the PE's chaos
+  // decision streams and — in deterministic-schedule mode — the
+  // scheduler's seeded choice RNG.
+  probe::bind_pe(pe->id);
   chaos::bind_stream(pe->id);
   pe->sched.set_choice_rng(chaos::sched_choice_rng());
 
@@ -633,10 +616,7 @@ void pe_loop(Pe* pe, const std::function<void(int)>& entry) {
 
   pe->sched.set_choice_rng(nullptr);
   chaos::unbind_stream();
-  flight::unbind_pe();
-  hist::unbind_pe();
-  trace::unbind_pe();
-  metrics::unbind_pe();
+  probe::unbind_pe();
   ult::Scheduler::set_current(nullptr);
   t_pe = nullptr;
 }
@@ -812,8 +792,7 @@ struct ProcRun {
   pid_t zygote_pid = 0;
   std::vector<pid_t> kids;  ///< process 0 only
   bool owns_chaos = false;
-  bool owns_trace = false;
-  bool owns_hist = false;
+  probe::Owned owned_probe;
 };
 
 void run_machine_process(ProcRun ctx) {
@@ -849,12 +828,8 @@ void run_machine_process(ProcRun ctx) {
   // Stamp observability provenance with the post-fork identity: metrics
   // snapshots record which process they came from, trace parts record the
   // local PE range they own, the flight recorder names its dump file.
-  metrics::set_proc(my_proc, config.nprocs);
-  flight::set_proc(my_proc, config.nprocs);
-  if (trace::active()) {
-    trace::set_proc(my_proc, config.nprocs, g_machine->local_first,
-                    g_machine->local_npes);
-  }
+  probe::set_proc(my_proc, config.nprocs, g_machine->local_first,
+                  g_machine->local_npes);
   if (g_machine->ft_on) {
     g_machine->dead =
         std::make_unique<std::atomic<bool>[]>(static_cast<std::size_t>(config.npes));
@@ -960,10 +935,9 @@ void run_machine_process(ProcRun ctx) {
           if (WIFEXITED(status) && WEXITSTATUS(status) == 0) continue;
           MFC_CHECK_MSG(st->ft_respawn, "machine child process died");
           const int proc = static_cast<int>(k) + 1;
-          metrics::bump(Counter::kProcKills);
-          trace::emit_flight(trace::Ev::kFtProcDown, 0,
-                             static_cast<std::uint32_t>(proc), 0,
-                             static_cast<std::int16_t>(proc * st->ppn));
+          probe::emit(probe::Ev::kFtProcDown, 0,
+                      static_cast<std::uint32_t>(proc), 0,
+                      static_cast<std::int16_t>(proc * st->ppn));
           st->dead_proc_event.store(proc, std::memory_order_release);
         }
         if (st->ctl_fd < 0) return;
@@ -979,20 +953,17 @@ void run_machine_process(ProcRun ctx) {
                        CtlRec{kCtlSwapDone, rec.proc, rec.arg});
               break;
             case kCtlRespawnDone:
-              metrics::bump(Counter::kProcRespawns);
-              trace::emit_flight(trace::Ev::kFtProcRespawn, rec.arg,
-                                 static_cast<std::uint32_t>(rec.proc));
+              probe::emit(probe::Ev::kFtProcRespawn, rec.arg,
+                          static_cast<std::uint32_t>(rec.proc));
               st->respawn_done_event.store(rec.proc,
                                            std::memory_order_release);
               break;
             case kCtlProcDeath:
               // A respawned incarnation died (only the zygote, its parent,
               // can waitpid it). Same detection event as a child death.
-              metrics::bump(Counter::kProcKills);
-              trace::emit_flight(
-                  trace::Ev::kFtProcDown, 0,
-                  static_cast<std::uint32_t>(rec.proc), 0,
-                  static_cast<std::int16_t>(rec.proc * st->ppn));
+              probe::emit(probe::Ev::kFtProcDown, 0,
+                          static_cast<std::uint32_t>(rec.proc), 0,
+                          static_cast<std::int16_t>(rec.proc * st->ppn));
               st->dead_proc_event.store(rec.proc, std::memory_order_release);
               break;
             default:
@@ -1077,17 +1048,7 @@ void run_machine_process(ProcRun ctx) {
     delete g_machine;
     g_machine = nullptr;
     if (ctx.owns_chaos) chaos::uninstall();
-    if (ctx.owns_trace) {
-      // Binary part, not JSON: the parent merges every process's part into
-      // one clock-aligned timeline after it reaps the children.
-      trace::stop_and_export_part(trace::env_file() + ".part" +
-                                  std::to_string(my_proc));
-    }
-    if (ctx.owns_hist) {
-      hist::write_stats_json(hist::env_file() + ".proc" +
-                             std::to_string(my_proc));
-      hist::enable(false);
-    }
+    probe::finish(ctx.owned_probe);
     MFC_CHECK_MSG(metrics::total(metrics::Counter::kMsgsAllocated) ==
                       metrics::total(metrics::Counter::kMsgsFreed),
                   "message envelopes leaked at machine shutdown (child)");
@@ -1113,7 +1074,7 @@ void zygote_respawn(const Machine::Config& config,
                     std::unique_ptr<transport::Transport>& transport,
                     const std::vector<int>& ctl_zyg,
                     const std::vector<int>& ctl_proc, bool owns_chaos,
-                    bool owns_trace, bool owns_hist, const CtlRec& req,
+                    const probe::Owned& owned_probe, const CtlRec& req,
                     std::vector<pid_t>& grandkid) {
   const int nprocs = config.nprocs;
   const int k = req.proc;
@@ -1156,8 +1117,7 @@ void zygote_respawn(const Machine::Config& config,
     ctx.respawn_gen = static_cast<int>(req.arg);
     ctx.ctl_fd = ctl_proc[static_cast<std::size_t>(k)];
     ctx.owns_chaos = owns_chaos;
-    ctx.owns_trace = owns_trace;
-    ctx.owns_hist = owns_hist;
+    ctx.owned_probe = owned_probe;
     run_machine_process(std::move(ctx));
     std::_Exit(0);  // not reached: non-zero procs exit inside
   }
@@ -1196,7 +1156,7 @@ void zygote_respawn(const Machine::Config& config,
                               std::unique_ptr<transport::Transport>& transport,
                               std::vector<int> ctl_zyg,
                               std::vector<int> ctl_proc, bool owns_chaos,
-                              bool owns_trace, bool owns_hist) {
+                              probe::Owned owned_probe) {
   const int nprocs = config.nprocs;
   std::vector<pid_t> grandkid(static_cast<std::size_t>(nprocs), 0);
   std::vector<pollfd> pfds(static_cast<std::size_t>(nprocs));
@@ -1228,7 +1188,7 @@ void zygote_respawn(const Machine::Config& config,
         switch (rec.type) {
           case kCtlReqRespawn:
             zygote_respawn(config, entry, transport, ctl_zyg, ctl_proc,
-                           owns_chaos, owns_trace, owns_hist, rec, grandkid);
+                           owns_chaos, owned_probe, rec, grandkid);
             break;
           case kCtlReqKill:
             if (grandkid[static_cast<std::size_t>(rec.proc)] > 0) {
@@ -1285,31 +1245,12 @@ void Machine::run(const Config& config, std::function<void(int)> entry) {
   const bool owns_chaos = config.chaos.enabled && !chaos::enabled();
   if (owns_chaos) chaos::install(config.chaos);
 
-  // Fresh books for this run; pool_stats()/metrics::snapshot() read them
-  // after the machine returns. Multi-process: each process's copy-on-write
-  // registry holds its local PEs' counts (QD accumulates them via token).
-  metrics::reset(config.npes);
-
-  // Env-gated tracing (MFC_TRACE=1): if no explicit session is active, the
-  // machine records this run and exports at shutdown, so any test or bench
-  // can be traced without code changes. An explicit session started by the
-  // caller (storm driver, trace tests) is left for its owner to export.
-  const bool owns_trace = trace::env_enabled() && !trace::active();
-  if (owns_trace) trace::start(config.npes);
-
-  // Env-gated latency histograms (MFC_STATS=1): armed for the run, dumped
-  // as JSON at shutdown. Same ownership rule as tracing so benches can arm
-  // them explicitly.
-  const bool owns_hist = hist::env_enabled() && !hist::active();
-  if (owns_hist) {
-    hist::reset(config.npes);
-    hist::enable(true);
-  }
-
-  // Flight recorder: always armed (MFC_FLIGHT=0 disables) — it is the
-  // black box that survives a failure when MFC_TRACE is off. Children
-  // inherit the armed ring and dump independently.
-  flight::init(config.npes);
+  // One probe session sizes every observability sink: fresh counter
+  // books, plus a trace session (MFC_TRACE=1), latency histograms
+  // (MFC_STATS=1) and the flight recorder (default on) — exported at
+  // shutdown. Sessions a test or bench started explicitly are left to
+  // their owner.
+  const probe::Owned owned_probe = probe::start(config.npes);
 
   const bool owns_region =
       config.iso_slots_per_pe > 0 && !iso::Region::initialized();
@@ -1359,7 +1300,7 @@ void Machine::run(const Config& config, std::function<void(int)> entry) {
       // The zygote keeps both fd arrays: its own ends to serve the
       // protocol, the proc ends so future respawns inherit theirs.
       zygote_main(config, entry, transport, std::move(ctl_zyg),
-                  std::move(ctl_proc), owns_chaos, owns_trace, owns_hist);
+                  std::move(ctl_proc), owns_chaos, owned_probe);
     }
     for (const int fd : ctl_zyg) ::close(fd);
   }
@@ -1388,8 +1329,7 @@ void Machine::run(const Config& config, std::function<void(int)> entry) {
   ctx.zygote_pid = zygote_pid;
   ctx.kids = std::move(kids);
   ctx.owns_chaos = owns_chaos;
-  ctx.owns_trace = owns_trace;
-  ctx.owns_hist = owns_hist;
+  ctx.owned_probe = owned_probe;
   if (ft_respawn) {
     // Each machine process keeps only its own ctl end.
     for (int p = 0; p < config.nprocs; ++p) {
@@ -1435,31 +1375,8 @@ void Machine::run(const Config& config, std::function<void(int)> entry) {
   g_machine = nullptr;
   if (owns_region) iso::Region::shutdown();
   if (owns_chaos) chaos::uninstall();
-  if (owns_trace) {
-    if (config.nprocs > 1) {
-      // Children already wrote their parts (reaped above). Write ours, then
-      // merge everything onto one skew-corrected timeline.
-      const std::string base = trace::env_file();
-      trace::stop_and_export_part(base + ".part0");
-      std::vector<std::string> parts;
-      parts.reserve(static_cast<std::size_t>(config.nprocs));
-      for (int p = 0; p < config.nprocs; ++p) {
-        parts.push_back(base + ".part" + std::to_string(p));
-      }
-      std::string err;
-      if (!trace::merge_parts(parts, base, &err)) {
-        MFC_LOG_WARN("trace merge failed: %s", err.c_str());
-      }
-    } else {
-      trace::stop_and_export(trace::env_file());
-    }
-  }
-  if (owns_hist) {
-    hist::write_stats_json(config.nprocs > 1
-                               ? hist::env_file() + ".proc0"
-                               : hist::env_file());
-    hist::enable(false);
-  }
+  // Children already wrote their parts (reaped above).
+  probe::finish(owned_probe);
 
   // The shutdown-leak invariant: every envelope this run allocated came
   // back through destroy_message — including messages still queued in peer
@@ -1503,22 +1420,21 @@ void send_message(int dest_pe, HandlerId handler, Message* m) {
   m->handler = handler;
   m->src_pe = t_pe != nullptr ? t_pe->id : -1;
   m->dest_pe = dest_pe;
-  metrics::bump(Counter::kMsgsSent);
   // Cross-PE sends get a flow id so the exporter can draw an arrow from
   // this send to the remote dispatch; assigned per send (recycled
   // envelopes carry stale ids otherwise). The inline enabled() test keeps
   // the tracing-off cost to the same predictable branch emit() pays.
   m->trace_flow = 0;
   if (trace::enabled() && m->src_pe >= 0 && m->src_pe != dest_pe) {
-    m->trace_flow = trace::next_flow_id();
+    m->trace_flow = probe::next_flow_id();
   }
-  // Queue-wait stamp, same per-send-assignment discipline as trace_flow
-  // (recycled envelopes carry stale stamps otherwise). Wire sends are
-  // re-stamped at the receiving process's enqueue hook.
-  m->stamp = hist::on() ? rdtsc() : 0;
-  trace::emit(trace::Ev::kMsgSend, m->trace_flow, handler,
-              static_cast<std::uint32_t>(m->payload.size()),
-              static_cast<std::int16_t>(dest_pe));
+  // The send edge's stamp opens the queue-wait interval, with the same
+  // per-send-assignment discipline as trace_flow (recycled envelopes carry
+  // stale stamps otherwise). Wire sends are re-stamped at the receiving
+  // process's enqueue hook.
+  m->stamp = probe::emit(probe::Ev::kMsgSend, m->trace_flow, handler,
+                         static_cast<std::uint32_t>(m->payload.size()),
+                         static_cast<std::int16_t>(dest_pe));
 
   // Wire routing: loopback mode ships every cross-PE send; multi-process
   // ships only cross-process destinations (same-process PEs keep the
@@ -1560,15 +1476,12 @@ void send_spans(int dest_pe, HandlerId handler, const SendSpan* spans,
   chaos::preempt_point("converse.send");
   const int src = t_pe != nullptr ? t_pe->id : -1;
   const std::size_t total = wire::spans_total(spans, nspans);
-  metrics::bump(Counter::kMsgsSent);
-  metrics::bump(Counter::kSpanSends);
   std::uint64_t flow = 0;
   if (trace::enabled() && src >= 0 && src != dest_pe) {
-    flow = trace::next_flow_id();
+    flow = probe::next_flow_id();
   }
-  trace::emit(trace::Ev::kMsgSend, flow, handler,
-              static_cast<std::uint32_t>(total),
-              static_cast<std::int16_t>(dest_pe));
+  probe::emit(probe::Ev::kMsgSend, flow, handler, probe::u32(total),
+              static_cast<std::int16_t>(dest_pe), /*c=span send*/ 1);
   if (g_machine->transport != nullptr && src >= 0 && dest_pe != src &&
       (g_machine->nprocs == 1 || !pe_local(dest_pe))) {
     wire::Header h;

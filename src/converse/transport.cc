@@ -17,8 +17,7 @@
 
 #include "converse/machine.h"
 #include "converse/shmring.h"
-#include "trace/metrics.h"
-#include "trace/trace.h"
+#include "trace/probe.h"
 #include "util/check.h"
 
 namespace mfc::converse::transport {
@@ -28,8 +27,9 @@ namespace {
 using metrics::Counter;
 using wire::Kind;
 
-// Wire-span trace codes (Record.a of kWireSendBegin): which path carried
-// the message. The exporter names the span "wire-send:<code name>".
+// Wire-span trace codes (Record.a of kWireSendBegin/End): which path
+// carried the message. The exporter names the span "wire-send:<code name>",
+// so both edges carry it for the end to close its begin.
 constexpr std::uint32_t kTraceEager = 0;
 constexpr std::uint32_t kTraceChunk = 1;
 constexpr std::uint32_t kTraceRdv = 2;
@@ -117,11 +117,12 @@ class ShmTransport final : public Transport {
     const int dproc = h.dest_pe / ppn_;
     shm::RingView& rv = producer_view(h.src_pe, dproc);
     const std::uint64_t limit = max_chunk_payload();
-    metrics::bump(Counter::kWireSentBytes, h.payload_len);
+    probe::emit(probe::Ev::kWireSendBegin, h.trace_flow,
+                h.payload_len <= limit ? kTraceEager : kTraceChunk,
+                probe::u32(h.payload_len),
+                static_cast<std::int16_t>(h.dest_pe));
     if (h.payload_len <= limit) {
       h.kind = static_cast<std::uint32_t>(Kind::kEager);
-      trace::emit(trace::Ev::kWireSendBegin, h.trace_flow, kTraceEager, 0,
-                  static_cast<std::int16_t>(h.dest_pe));
       metrics::bump(Counter::kWireSentFrames);
       // Delayed publish: the frame's bytes are in the ring but invisible
       // until after on_consumed — the pack epilogue can evacuate the pages
@@ -129,14 +130,14 @@ class ShmTransport final : public Transport {
       if (!push_wait(rv, dproc, h, spans, n,
                      /*publish=*/on_consumed == nullptr)) {
         if (on_consumed) on_consumed();
-        trace::emit(trace::Ev::kWireSendEnd);
+        probe::emit(probe::Ev::kWireSendEnd);
         return;  // dropped post-stop
       }
       if (on_consumed) {
         on_consumed();
         publish(rv, dproc, h.dest_pe);
       }
-      trace::emit(trace::Ev::kWireSendEnd, 0, 0,
+      probe::emit(probe::Ev::kWireSendEnd, 0, 0,
                   static_cast<std::uint32_t>(h.payload_len +
                                              sizeof(wire::Header)));
       return;
@@ -146,8 +147,6 @@ class ShmTransport final : public Transport {
     // complete at the consumer before on_consumed runs.
     h.kind = static_cast<std::uint32_t>(Kind::kChunk);
     h.total_len = hdr.payload_len;
-    trace::emit(trace::Ev::kWireSendBegin, h.trace_flow, kTraceChunk, 0,
-                static_cast<std::int16_t>(h.dest_pe));
     std::uint64_t off = 0;
     std::uint64_t frames = 0;
     while (off < h.total_len) {
@@ -163,7 +162,7 @@ class ShmTransport final : public Transport {
       if (!push_wait(rv, dproc, h, sub.data(), sub.size(),
                      /*publish=*/!(last && on_consumed != nullptr))) {
         if (on_consumed) on_consumed();
-        trace::emit(trace::Ev::kWireSendEnd);
+        probe::emit(probe::Ev::kWireSendEnd, 0, kTraceChunk);
         return;  // dropped post-stop; partial assembly freed at teardown
       }
       if (last && on_consumed) {
@@ -172,7 +171,7 @@ class ShmTransport final : public Transport {
       }
       off += len;
     }
-    trace::emit(trace::Ev::kWireSendEnd, 0, 0,
+    probe::emit(probe::Ev::kWireSendEnd, 0, kTraceChunk,
                 static_cast<std::uint32_t>(h.total_len +
                                            frames * sizeof(wire::Header)));
   }
@@ -309,7 +308,7 @@ class ShmTransport final : public Transport {
           if (h.offset == 0) {
             if (a.m != nullptr) drop_stale(a);
             a.m = t->hooks_.alloc(h, h.total_len);
-            trace::emit(trace::Ev::kWireAsmBegin, h.trace_flow, 0,
+            probe::emit(probe::Ev::kWireAsmBegin, h.trace_flow, 0,
                         static_cast<std::uint32_t>(h.total_len),
                         static_cast<std::int16_t>(h.src_pe));
           }
@@ -331,8 +330,7 @@ class ShmTransport final : public Transport {
       Assembly& a = t->assembly_[static_cast<std::size_t>(slot)];
       switch (static_cast<Kind>(h.kind)) {
         case Kind::kEager:
-          metrics::bump(Counter::kWireDelivered);
-          trace::emit(trace::Ev::kWireDeliver, h.trace_flow, 0,
+          probe::emit(probe::Ev::kWireDeliver, h.trace_flow, 0,
                       static_cast<std::uint32_t>(h.payload_len),
                       static_cast<std::int16_t>(h.src_pe));
           t->hooks_.enqueue(a.m);
@@ -340,9 +338,8 @@ class ShmTransport final : public Transport {
           break;
         case Kind::kChunk:
           if (a.m != nullptr && h.offset + h.payload_len == h.total_len) {
-            metrics::bump(Counter::kWireDelivered);
-            trace::emit(trace::Ev::kWireAsmEnd);
-            trace::emit(trace::Ev::kWireDeliver, h.trace_flow, 0,
+            probe::emit(probe::Ev::kWireAsmEnd);
+            probe::emit(probe::Ev::kWireDeliver, h.trace_flow, 0,
                         static_cast<std::uint32_t>(h.total_len),
                         static_cast<std::int16_t>(h.src_pe));
             t->hooks_.enqueue(a.m);
@@ -413,7 +410,7 @@ class ShmTransport final : public Transport {
     // Clear before the scan: a frame published after this store sets the
     // flag again, one published before it is visible to the scan.
     seg_.doorbell(my_proc_).pending.store(0, std::memory_order_seq_cst);
-    trace::WireScope wire;
+    probe::WireScope wire;
     std::uint64_t frames = 0;
     for (std::size_t s = 0; s < inbound_.size(); ++s)
       while (inbound_[s].try_pop(sinks_[s])) ++frames;
@@ -480,7 +477,7 @@ class ShmTransport final : public Transport {
       if (tick && hooks_.idle) {
         take();
         {
-          trace::WireScope wire;
+          probe::WireScope wire;
           hooks_.idle();
         }
         give();
@@ -637,13 +634,14 @@ class SocketTransport final : public Transport {
             std::function<void()> on_consumed) override {
     wire::Header h = hdr;
     const int dproc = h.dest_pe / ppn_;
-    metrics::bump(Counter::kWireSentBytes, h.payload_len);
     const bool rendezvous =
         opt_.nprocs > 1 && h.payload_len > opt_.rendezvous_bytes;
+    probe::emit(probe::Ev::kWireSendBegin, h.trace_flow,
+                rendezvous ? kTraceRdv : kTraceEager,
+                probe::u32(h.payload_len),
+                static_cast<std::int16_t>(h.dest_pe));
     if (!rendezvous) {
       h.kind = static_cast<std::uint32_t>(Kind::kEager);
-      trace::emit(trace::Ev::kWireSendBegin, h.trace_flow, kTraceEager, 0,
-                  static_cast<std::int16_t>(h.dest_pe));
       metrics::bump(Counter::kWireSentFrames);
       if (on_consumed) {
         // Stage first so on_consumed runs before any byte can reach the
@@ -657,7 +655,7 @@ class SocketTransport final : public Transport {
       } else {
         robust_write(dproc, h, spans, n, /*can_wait=*/true);
       }
-      trace::emit(trace::Ev::kWireSendEnd, 0, 0,
+      probe::emit(probe::Ev::kWireSendEnd, 0, 0,
                   static_cast<std::uint32_t>(h.payload_len +
                                              sizeof(wire::Header)));
       return;
@@ -667,12 +665,9 @@ class SocketTransport final : public Transport {
     // image bytes touch no intermediate buffer on either side: writev
     // reads the live slots, and the reader lands bytes directly in the
     // destination envelope's payload.
-    metrics::bump(Counter::kWireRendezvous);
     const std::uint64_t id =
         (static_cast<std::uint64_t>(my_proc_) << 48) |
         rdv_seq_.fetch_add(1, std::memory_order_relaxed);
-    trace::emit(trace::Ev::kWireSendBegin, h.trace_flow, kTraceRdv, 0,
-                static_cast<std::int16_t>(h.dest_pe));
     PendingSend ps;
     ps.dproc = dproc;
     {
@@ -685,7 +680,7 @@ class SocketTransport final : public Transport {
     rts.total_len = h.payload_len;
     rts.msg_id = id;
     robust_write(dproc, rts, nullptr, 0, /*can_wait=*/true);
-    trace::emit(trace::Ev::kWireRts, id, 0,
+    probe::emit(probe::Ev::kWireRts, id, 0,
                 static_cast<std::uint32_t>(h.payload_len),
                 static_cast<std::int16_t>(h.dest_pe));
     metrics::bump(Counter::kWireSentFrames);
@@ -708,11 +703,11 @@ class SocketTransport final : public Transport {
       data.total_len = h.payload_len;
       metrics::bump(Counter::kWireSentFrames);
       robust_write(dproc, data, spans, n, /*can_wait=*/true);
-      trace::emit(trace::Ev::kWireRdvDone, id, 0,
+      probe::emit(probe::Ev::kWireRdvDone, id, 0,
                   static_cast<std::uint32_t>(h.payload_len));
     }
     if (on_consumed) on_consumed();
-    trace::emit(trace::Ev::kWireSendEnd, 0, 0,
+    probe::emit(probe::Ev::kWireSendEnd, 0, kTraceRdv,
                 static_cast<std::uint32_t>(h.payload_len +
                                            3 * sizeof(wire::Header)));
   }
@@ -950,8 +945,7 @@ class SocketTransport final : public Transport {
         case Kind::kEager:
         case Kind::kData:
           if (cur == nullptr) break;  // orphan kData sunk to scratch
-          metrics::bump(Counter::kWireDelivered);
-          trace::emit(trace::Ev::kWireDeliver, h.trace_flow, 0,
+          probe::emit(probe::Ev::kWireDeliver, h.trace_flow, 0,
                       static_cast<std::uint32_t>(h.payload_len),
                       static_cast<std::int16_t>(h.src_pe));
           t->hooks_.enqueue(cur);
@@ -977,7 +971,7 @@ class SocketTransport final : public Transport {
           // can_wait=false: the comm thread must never park on a dead
           // stream — it is the thread that installs the replacement.
           t->robust_write(sproc, cts, nullptr, 0, /*can_wait=*/false);
-          trace::emit(trace::Ev::kWireCts, h.msg_id, 0,
+          probe::emit(probe::Ev::kWireCts, h.msg_id, 0,
                       static_cast<std::uint32_t>(h.total_len),
                       static_cast<std::int16_t>(h.src_pe));
           break;
@@ -1008,7 +1002,7 @@ class SocketTransport final : public Transport {
   };
 
   void comm_loop() {
-    trace::bind_comm();
+    probe::WireScope wire;
     const std::size_t nfd = recv_.size();
     // Receive state lives in members so attach_peer (same thread, via the
     // idle hook) can swap a respawned peer's reader/io in place.

@@ -10,9 +10,7 @@
 #include <utility>
 
 #include "converse/machine.h"
-#include "trace/flight.h"
-#include "trace/metrics.h"
-#include "trace/trace.h"
+#include "trace/probe.h"
 #include "ult/scheduler.h"
 #include "util/check.h"
 #include "util/crc32.h"
@@ -436,12 +434,7 @@ void commit_epoch() {
   s->epoch = e;
   s->pending_epoch = 0;
   s->async_inflight = false;
-  metrics::bump(metrics::Counter::kFtCheckpoints);
-  metrics::bump(metrics::Counter::kFtCheckpointBytes, s->ckpt_bytes);
-  trace::emit_flight(trace::Ev::kFtCheckpointEnd, e, 0,
-                     static_cast<std::uint32_t>(s->ckpt_bytes > 0xffffffffu
-                                                    ? 0xffffffffu
-                                                    : s->ckpt_bytes));
+  probe::emit(probe::Ev::kFtCheckpointEnd, e, 0, probe::u32(s->ckpt_bytes));
   if (s->sync_waiter != nullptr) {
     ult::Thread* t = s->sync_waiter;
     s->sync_waiter = nullptr;
@@ -559,10 +552,8 @@ void tick() {
       s->recovering = true;
       s->victim_proc = dp;
       s->detections.fetch_add(1, std::memory_order_relaxed);
-      metrics::bump(metrics::Counter::kFtDetections);
-      trace::emit_flight(trace::Ev::kFtDetect, 1,
-                         static_cast<std::uint32_t>(dp), 0,
-                         static_cast<std::int16_t>(dp * s->ppn));
+      probe::emit(probe::Ev::kFtDetect, 1, static_cast<std::uint32_t>(dp), 0,
+                  static_cast<std::int16_t>(dp * s->ppn));
       trace::flight::dump("ft-proc-down");
       if (s->hooks.on_detect) {
         for (int v = dp * s->ppn; v < (dp + 1) * s->ppn; ++v) {
@@ -600,10 +591,9 @@ void tick() {
           // process-tier recovery above. No PE-tier recovery meanwhile.
           if (!s->escalated[static_cast<std::size_t>(proc)]) {
             s->escalated[static_cast<std::size_t>(proc)] = 1;
-            metrics::bump(metrics::Counter::kFtDetections);
-            trace::emit_flight(trace::Ev::kFtDetect, 2,
-                               static_cast<std::uint32_t>(proc), 0,
-                               static_cast<std::int16_t>(pe));
+            probe::emit(probe::Ev::kFtDetect, 2,
+                        static_cast<std::uint32_t>(proc), 0,
+                        static_cast<std::int16_t>(pe));
             converse::kill_proc(proc);
           }
           continue;
@@ -613,9 +603,7 @@ void tick() {
     s->recovering = true;
     s->victim = pe;
     s->detections.fetch_add(1, std::memory_order_relaxed);
-    metrics::bump(metrics::Counter::kFtDetections);
-    trace::emit_flight(trace::Ev::kFtDetect, 0, 0, 0,
-                       static_cast<std::int16_t>(pe));
+    probe::emit(probe::Ev::kFtDetect, 0, 0, 0, static_cast<std::int16_t>(pe));
     trace::flight::dump("ft-detect");
     if (s->hooks.on_detect) s->hooks.on_detect(pe);
     ult::spawn([] { recovery_main(); });
@@ -733,10 +721,9 @@ void recovery_main() {
   FtState* s = g_state;
   const int v = s->victim;
   const int npes = s->npes;
-  trace::emit_flight(trace::Ev::kFtRecoveryBegin, 0, 0, 0,
-                     static_cast<std::int16_t>(v));
+  probe::emit(probe::Ev::kFtRecoveryBegin, 0, 0, 0,
+              static_cast<std::int16_t>(v));
   s->recoveries.fetch_add(1, std::memory_order_relaxed);
-  metrics::bump(metrics::Counter::kFtRecoveries);
 
   // Revive: the machine clears the dead flag; the on_revive hook wipes the
   // victim's application state and checkpoint store (emulated memory loss)
@@ -775,7 +762,7 @@ void recovery_main() {
   s->last_ping = now;
   s->victim = -1;
   s->recovering = false;
-  trace::emit_flight(trace::Ev::kFtRecoveryEnd, s->epoch);
+  probe::emit(probe::Ev::kFtRecoveryEnd, s->epoch);
 }
 
 /// Process-tier recovery coordinator: runs as a ULT on PE 0, spawned by the
@@ -792,10 +779,9 @@ void proc_recovery_main() {
   const int npes = s->npes;
   const int ppn = s->ppn;
   const int lo = p * ppn;
-  trace::emit_flight(trace::Ev::kFtRecoveryBegin, static_cast<std::uint64_t>(p),
-                     1, 0, static_cast<std::int16_t>(lo));
+  probe::emit(probe::Ev::kFtRecoveryBegin, static_cast<std::uint64_t>(p), 1,
+              0, static_cast<std::int16_t>(lo));
   s->recoveries.fetch_add(1, std::memory_order_relaxed);
-  metrics::bump(metrics::Counter::kFtRecoveries);
 
   // Respawn: the zygote forks a fresh incarnation of process p from its
   // pristine pre-fork image and swaps fresh wire streams into every
@@ -841,7 +827,7 @@ void proc_recovery_main() {
   s->escalated[static_cast<std::size_t>(p)] = 0;
   s->victim_proc = -1;
   s->recovering = false;
-  trace::emit_flight(trace::Ev::kFtRecoveryEnd, s->epoch);
+  probe::emit(probe::Ev::kFtRecoveryEnd, s->epoch);
 }
 
 // ---- Machine hooks ----------------------------------------------------------
@@ -935,7 +921,7 @@ std::uint64_t checkpoint_now(CkptMode mode) {
   MFC_CHECK_MSG(!s->recovering, "ft: checkpoint during recovery");
   if (s->async_inflight) checkpoint_sync();  // one epoch in flight at a time
   converse::wait_quiescence();
-  trace::emit_flight(trace::Ev::kFtCheckpointBegin, s->epoch + 1);
+  probe::emit(probe::Ev::kFtCheckpointBegin, s->epoch + 1);
   const std::uint64_t e = s->epoch + 1;
   s->pending_epoch = e;
   s->pending_mode = mode;
@@ -974,8 +960,7 @@ void kill_pe(int pe) {
   FtState* s = g_state;
   MFC_CHECK_MSG(s != nullptr, "ft: kill_pe without install");
   s->kills.fetch_add(1, std::memory_order_relaxed);
-  metrics::bump(metrics::Counter::kFtKills);
-  trace::emit_flight(trace::Ev::kFtKill, 0, 0, 0, static_cast<std::int16_t>(pe));
+  probe::emit(probe::Ev::kFtKill, 0, 0, 0, static_cast<std::int16_t>(pe));
   // Failure trigger: freeze and dump the flight recorder (first kill wins;
   // the dump covers the run's recent history even with MFC_TRACE off).
   trace::flight::dump("ft-kill");

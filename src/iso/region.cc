@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "chaos/chaos.h"
-#include "trace/trace.h"
+#include "trace/probe.h"
 #include "util/check.h"
 #include "util/log.h"
 
@@ -91,7 +91,7 @@ SlotId Region::try_acquire(int pe, std::uint32_t count) {
     map_rw(id);  // residency marked above (install() would re-lock)
     // Only the success path traces: injected strip-exhaustion retries must
     // not perturb the replay-deterministic event counts.
-    trace::emit(trace::Ev::kIsoSlotAcquire, 0, start, count,
+    probe::emit(probe::Ev::kIsoSlotAcquire, 0, start, count,
                 static_cast<std::int16_t>(pe));
     return id;
   }
@@ -112,7 +112,7 @@ SlotId Region::acquire(int pe, std::uint32_t count) {
 
 void Region::release(SlotId id) {
   MFC_CHECK(id.valid());
-  trace::emit(trace::Ev::kIsoSlotRelease, 0, id.index, id.count,
+  probe::emit(probe::Ev::kIsoSlotRelease, 0, id.index, id.count,
               static_cast<std::int16_t>(id.pe));
   evacuate(id);
   if (g_lease_owner_local && !g_lease_owner_local(id.pe)) {

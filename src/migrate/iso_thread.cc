@@ -2,8 +2,7 @@
 
 #include <cstring>
 
-#include "trace/flight.h"
-#include "trace/hist.h"
+#include "trace/probe.h"
 #include "util/check.h"
 #include "util/timer.h"
 
@@ -35,7 +34,10 @@ void IsoThread::on_switch_out() { iso::set_current_heap(nullptr); }
 ImageManifest IsoThread::pack_manifest(bool count) {
   MFC_CHECK_MSG(state() == ult::State::kSuspended,
                 "pack_manifest() requires a suspended thread");
-  const std::uint64_t t0 = count && hist::on() ? rdtsc() : 0;
+  const std::uint64_t t0 =
+      count ? probe::emit(probe::Ev::kMigratePackBegin, id(), 0, 0, -1,
+                          trace_tag(Technique::kIsomalloc))
+            : 0;
   iso::Region& region = iso::Region::instance();
 
   ImageManifest m;
@@ -64,13 +66,9 @@ ImageManifest IsoThread::pack_manifest(bool count) {
   }
 
   if (count) {
-    trace::emit_flight(trace::Ev::kMigratePackBegin, m.thread_id, 0, 0, -1,
-                       trace_tag(Technique::kIsomalloc));
-    metrics::bump(pack_counter(Technique::kIsomalloc));
-    if (t0 != 0) hist::record(hist::Hist::kMigratePack, rdtsc() - t0);
-    trace::emit_flight(trace::Ev::kMigratePackEnd, m.thread_id, 0,
-                       static_cast<std::uint32_t>(m.payload_bytes()), -1,
-                       trace_tag(Technique::kIsomalloc));
+    probe::emit(probe::Ev::kMigratePackEnd, m.thread_id, 0,
+                static_cast<std::uint32_t>(m.payload_bytes()), -1,
+                trace_tag(Technique::kIsomalloc), t0);
   }
   return m;
 }
@@ -88,18 +86,16 @@ void IsoThread::complete_pack() {
 }
 
 ThreadImage IsoThread::pack() {
-  trace::emit_flight(trace::Ev::kMigratePackBegin, id(), 0, 0, -1,
-                     trace_tag(Technique::kIsomalloc));
-  metrics::bump(pack_counter(Technique::kIsomalloc));
-  const std::uint64_t t0 = hist::on() ? rdtsc() : 0;
+  const std::uint64_t t0 =
+      probe::emit(probe::Ev::kMigratePackBegin, id(), 0, 0, -1,
+                  trace_tag(Technique::kIsomalloc));
   ThreadImage image = image_from_manifest(pack_manifest(false));
   complete_pack();
-  if (t0 != 0) hist::record(hist::Hist::kMigratePack, rdtsc() - t0);
   std::size_t wire = 0;
   for (const std::vector<char>& run : image.slot_data) wire += run.size();
-  trace::emit_flight(trace::Ev::kMigratePackEnd, image.thread_id, 0,
-                     static_cast<std::uint32_t>(wire), -1,
-                     trace_tag(Technique::kIsomalloc));
+  probe::emit(probe::Ev::kMigratePackEnd, image.thread_id, 0,
+              static_cast<std::uint32_t>(wire), -1,
+              trace_tag(Technique::kIsomalloc), t0);
   return image;
 }
 

@@ -6,8 +6,7 @@
 
 #include <cstring>
 
-#include "trace/flight.h"
-#include "trace/hist.h"
+#include "trace/probe.h"
 #include "util/check.h"
 #include "util/timer.h"
 
@@ -75,7 +74,10 @@ void MemAliasThread::on_switch_out() {
 ImageManifest MemAliasThread::pack_manifest(bool count) {
   MFC_CHECK_MSG(state() == ult::State::kSuspended,
                 "pack_manifest() requires a suspended thread");
-  const std::uint64_t t0 = count && hist::on() ? rdtsc() : 0;
+  const std::uint64_t t0 =
+      count ? probe::emit(probe::Ev::kMigratePackBegin, id(), 0, 0, -1,
+                          trace_tag(Technique::kMemAlias))
+            : 0;
   CommonStackArena& arena = CommonStackArena::instance();
   ImageManifest m;
   m.technique = Technique::kMemAlias;
@@ -93,13 +95,9 @@ ImageManifest MemAliasThread::pack_manifest(bool count) {
   MFC_CHECK(r == static_cast<ssize_t>(stack_bytes_));
   m.stack_run = {m.staged.data(), m.staged.size()};
   if (count) {
-    trace::emit_flight(trace::Ev::kMigratePackBegin, m.thread_id, 0, 0, -1,
-                       trace_tag(Technique::kMemAlias));
-    metrics::bump(pack_counter(Technique::kMemAlias));
-    if (t0 != 0) hist::record(hist::Hist::kMigratePack, rdtsc() - t0);
-    trace::emit_flight(trace::Ev::kMigratePackEnd, m.thread_id, 0,
-                       static_cast<std::uint32_t>(m.stack_run.len), -1,
-                       trace_tag(Technique::kMemAlias));
+    probe::emit(probe::Ev::kMigratePackEnd, m.thread_id, 0,
+                static_cast<std::uint32_t>(m.stack_run.len), -1,
+                trace_tag(Technique::kMemAlias), t0);
   }
   return m;
 }
@@ -113,16 +111,14 @@ void MemAliasThread::complete_pack() {
 }
 
 ThreadImage MemAliasThread::pack() {
-  trace::emit_flight(trace::Ev::kMigratePackBegin, id(), 0, 0, -1,
-                     trace_tag(Technique::kMemAlias));
-  metrics::bump(pack_counter(Technique::kMemAlias));
-  const std::uint64_t t0 = hist::on() ? rdtsc() : 0;
+  const std::uint64_t t0 =
+      probe::emit(probe::Ev::kMigratePackBegin, id(), 0, 0, -1,
+                  trace_tag(Technique::kMemAlias));
   ThreadImage image = image_from_manifest(pack_manifest(false));
   complete_pack();
-  if (t0 != 0) hist::record(hist::Hist::kMigratePack, rdtsc() - t0);
-  trace::emit_flight(trace::Ev::kMigratePackEnd, image.thread_id, 0,
-                     static_cast<std::uint32_t>(image.stack_bytes.size()), -1,
-                     trace_tag(Technique::kMemAlias));
+  probe::emit(probe::Ev::kMigratePackEnd, image.thread_id, 0,
+              static_cast<std::uint32_t>(image.stack_bytes.size()), -1,
+              trace_tag(Technique::kMemAlias), t0);
   return image;
 }
 

@@ -3,10 +3,8 @@
 #include "migrate/iso_thread.h"
 #include "migrate/memalias_thread.h"
 #include "migrate/stackcopy_thread.h"
-#include "trace/flight.h"
-#include "trace/hist.h"
+#include "trace/probe.h"
 #include "util/check.h"
-#include "util/timer.h"
 
 namespace mfc::migrate {
 
@@ -26,11 +24,9 @@ MigratableThread* MigratableThread::unpack(ThreadImage image, int dest_pe) {
   for (const std::vector<char>& run : image.slot_data) wire += run.size();
   // The unpack span closes the migration flow arrow the pack span opened
   // (the exporter keys it on the thread id, which survives the trip).
-  trace::emit_flight(trace::Ev::kMigrateUnpackBegin, thread_id, 0, 0, -1,
-                     trace_tag(technique));
-  metrics::bump(unpack_counter(technique));
-  const std::uint64_t t0 = hist::on() ? rdtsc() : 0;
-
+  const std::uint64_t t0 =
+      probe::emit(probe::Ev::kMigrateUnpackBegin, thread_id, 0, 0, -1,
+                  trace_tag(technique));
   MigratableThread* t = nullptr;
   switch (technique) {
     case Technique::kIsomalloc:
@@ -44,10 +40,8 @@ MigratableThread* MigratableThread::unpack(ThreadImage image, int dest_pe) {
       break;
   }
   MFC_CHECK_MSG(t != nullptr, "corrupt thread image: unknown technique");
-  if (t0 != 0) hist::record(hist::Hist::kMigrateUnpack, rdtsc() - t0);
-  trace::emit_flight(trace::Ev::kMigrateUnpackEnd, thread_id, 0,
-                     static_cast<std::uint32_t>(wire), -1,
-                     trace_tag(technique));
+  probe::emit(probe::Ev::kMigrateUnpackEnd, thread_id, 0,
+              static_cast<std::uint32_t>(wire), -1, trace_tag(technique), t0);
   return t;
 }
 

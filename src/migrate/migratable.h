@@ -14,8 +14,6 @@
 #include "iso/region.h"
 #include "migrate/manifest.h"
 #include "pup/pup.h"
-#include "trace/metrics.h"
-#include "trace/trace.h"
 #include "ult/thread.h"
 
 namespace mfc::migrate {
@@ -28,21 +26,11 @@ enum class Technique : std::uint8_t {
 
 const char* to_string(Technique t);
 
-/// Technique tag carried in trace records (0 is reserved for "none").
+/// Technique tag carried in trace records (0 is reserved for "none"). The
+/// probe's event table maps tag k to the k-th per-technique pack/unpack
+/// counter (metrics enum order matches Technique order).
 inline std::uint8_t trace_tag(Technique t) {
   return static_cast<std::uint8_t>(t) + 1;
-}
-/// Per-technique pack/unpack counters (metrics enum order matches
-/// Technique order, so the offset arithmetic is exact).
-inline metrics::Counter pack_counter(Technique t) {
-  return static_cast<metrics::Counter>(
-      static_cast<int>(metrics::Counter::kPackStackCopy) +
-      static_cast<int>(t));
-}
-inline metrics::Counter unpack_counter(Technique t) {
-  return static_cast<metrics::Counter>(
-      static_cast<int>(metrics::Counter::kUnpackStackCopy) +
-      static_cast<int>(t));
 }
 
 /// Serialized form of a suspended migratable thread. PUP-able, so it can be

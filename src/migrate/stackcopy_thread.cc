@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "trace/flight.h"
-#include "trace/hist.h"
+#include "trace/probe.h"
 #include "util/check.h"
 #include "util/timer.h"
 
@@ -61,7 +60,10 @@ void StackCopyThread::on_switch_out() {
 ImageManifest StackCopyThread::pack_manifest(bool count) {
   MFC_CHECK_MSG(state() == ult::State::kSuspended,
                 "pack_manifest() requires a suspended thread");
-  const std::uint64_t t0 = count && hist::on() ? rdtsc() : 0;
+  const std::uint64_t t0 =
+      count ? probe::emit(probe::Ev::kMigratePackBegin, id(), 0, 0, -1,
+                          trace_tag(Technique::kStackCopy))
+            : 0;
   CommonStackArena& arena = CommonStackArena::instance();
   ImageManifest m;
   m.technique = Technique::kStackCopy;
@@ -74,28 +76,22 @@ ImageManifest StackCopyThread::pack_manifest(bool count) {
   m.stack_capacity = stack_bytes_;
   m.arena_base = reinterpret_cast<std::uint64_t>(arena.base());
   if (count) {
-    trace::emit_flight(trace::Ev::kMigratePackBegin, m.thread_id, 0, 0, -1,
-                       trace_tag(Technique::kStackCopy));
-    metrics::bump(pack_counter(Technique::kStackCopy));
-    if (t0 != 0) hist::record(hist::Hist::kMigratePack, rdtsc() - t0);
-    trace::emit_flight(trace::Ev::kMigratePackEnd, m.thread_id, 0,
-                       static_cast<std::uint32_t>(m.stack_run.len), -1,
-                       trace_tag(Technique::kStackCopy));
+    probe::emit(probe::Ev::kMigratePackEnd, m.thread_id, 0,
+                static_cast<std::uint32_t>(m.stack_run.len), -1,
+                trace_tag(Technique::kStackCopy), t0);
   }
   return m;
 }
 
 ThreadImage StackCopyThread::pack() {
-  trace::emit_flight(trace::Ev::kMigratePackBegin, id(), 0, 0, -1,
-                     trace_tag(Technique::kStackCopy));
-  metrics::bump(pack_counter(Technique::kStackCopy));
-  const std::uint64_t t0 = hist::on() ? rdtsc() : 0;
+  const std::uint64_t t0 =
+      probe::emit(probe::Ev::kMigratePackBegin, id(), 0, 0, -1,
+                  trace_tag(Technique::kStackCopy));
   ThreadImage image = image_from_manifest(pack_manifest(false));
   complete_pack();
-  if (t0 != 0) hist::record(hist::Hist::kMigratePack, rdtsc() - t0);
-  trace::emit_flight(trace::Ev::kMigratePackEnd, image.thread_id, 0,
-                     static_cast<std::uint32_t>(image.stack_bytes.size()), -1,
-                     trace_tag(Technique::kStackCopy));
+  probe::emit(probe::Ev::kMigratePackEnd, image.thread_id, 0,
+              static_cast<std::uint32_t>(image.stack_bytes.size()), -1,
+              trace_tag(Technique::kStackCopy), t0);
   return image;
 }
 

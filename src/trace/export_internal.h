@@ -19,6 +19,11 @@ struct Track {
   std::vector<Record> recs;
 };
 
+/// Track label for tid `tid` of an `npes`-PE process: "PE <tid>", "wire"
+/// for tid npes (the comm-thread ring), "other" for npes + 1 (unbound
+/// threads' flight notes).
+std::string track_name(int tid, int npes);
+
 /// Writes one process's tracks as a complete Chrome trace-event JSON file.
 /// `meta` lands in otherData (key order preserved as given).
 bool write_tracks_json(

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <mutex>
 #include <vector>
 
 #include "trace/export_internal.h"
-#include "util/timer.h"
+#include "trace/probe.h"
 
 namespace mfc::trace::flight {
 
@@ -30,9 +28,6 @@ struct Recorder {
   std::uint64_t head = 0;  ///< monotonic; masked on use (cap is power of 2)
   std::uint64_t mask = 0;
   int npes = 0;
-  int proc = 0;
-  int nprocs = 1;
-  TscAnchor anchor;
   bool dumped = false;
   std::string dump_path;
 };
@@ -40,39 +35,17 @@ struct Recorder {
 Recorder* g_rec = nullptr;
 std::mutex g_rec_mu;  ///< guards g_rec swap in init() vs dump()
 
-thread_local int t_pe = -1;
-
 constexpr std::size_t kDefaultCap = 1024;
-
-std::size_t env_cap() {
-  if (const char* env = std::getenv("MFC_FLIGHT_CAP");
-      env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(env, &end, 0);
-    if (end != nullptr && *end == '\0' && v > 0) {
-      return static_cast<std::size_t>(v);
-    }
-  }
-  return kDefaultCap;
-}
 
 }  // namespace
 
 namespace detail {
 
-void note_slow(Ev ev, std::uint64_t arg, std::uint32_t a, std::uint32_t size,
-               std::int16_t b, std::uint8_t c) {
+void note(Record r, std::int16_t pe) {
   Recorder* rec = g_rec;
   if (rec == nullptr) return;
-  Entry e;
-  e.r.tsc = rdtsc();  // rare events: always a fresh edge
-  e.r.arg = arg;
-  e.r.a = a;
-  e.r.size = size;
-  e.r.b = b;
-  e.r.ev = static_cast<std::uint8_t>(ev);
-  e.r.c = c;
-  e.pe = t_pe;
+  Entry e{r, pe};
+  if (e.r.tsc == 0) e.r.tsc = rdtsc();
   std::lock_guard<std::mutex> lock(rec->mu);
   if (!g_fl_on.load(std::memory_order_relaxed)) return;  // froze while we
                                                          // raced here
@@ -82,52 +55,29 @@ void note_slow(Ev ev, std::uint64_t arg, std::uint32_t a, std::uint32_t size,
 
 }  // namespace detail
 
-bool env_enabled() {
-  const char* env = std::getenv("MFC_FLIGHT");
-  return env == nullptr || *env == '\0' || std::strcmp(env, "0") != 0;
-}
-
-std::string env_file() {
-  const char* env = std::getenv("MFC_FLIGHT_FILE");
-  return (env != nullptr && *env != '\0') ? env : "mfc_flight";
-}
-
 void init(int npes, std::size_t cap) {
   std::lock_guard<std::mutex> swap_lock(g_rec_mu);
   detail::g_fl_on = false;
   delete g_rec;
   g_rec = nullptr;
-  if (!env_enabled()) return;
-  if (cap == 0) cap = env_cap();
+  if (!probe::env_flag("MFC_FLIGHT", true)) return;
+  if (cap == 0) cap = probe::env_size("MFC_FLIGHT_CAP", kDefaultCap);
   std::size_t pow2 = 8;
   while (pow2 < cap) pow2 <<= 1;
   auto* rec = new Recorder;
   rec->buf.resize(pow2);
   rec->mask = pow2 - 1;
   rec->npes = npes;
-  rec->anchor = TscAnchor::now();
   g_rec = rec;
   detail::g_fl_on = true;
 }
-
-void set_proc(int proc, int nprocs) {
-  Recorder* rec = g_rec;
-  if (rec == nullptr) return;
-  rec->proc = proc;
-  rec->nprocs = nprocs < 1 ? 1 : nprocs;
-}
-
-void bind_pe(int pe) { t_pe = static_cast<std::int16_t>(pe); }
-
-void unbind_pe() { t_pe = -1; }
 
 bool dump(const char* reason) {
   std::lock_guard<std::mutex> swap_lock(g_rec_mu);
   Recorder* rec = g_rec;
   if (rec == nullptr) return false;
   std::vector<Entry> entries;
-  int npes, proc, nprocs;
-  TscAnchor anchor;
+  int npes;
   {
     std::lock_guard<std::mutex> lock(rec->mu);
     if (rec->dumped) return false;  // first trigger wins
@@ -140,9 +90,6 @@ bool dump(const char* reason) {
       entries.push_back(rec->buf[i & rec->mask]);
     }
     npes = rec->npes;
-    proc = rec->proc;
-    nprocs = rec->nprocs;
-    anchor = rec->anchor;
   }
   // Group chronological entries into per-PE tracks (+ "other" for unbound
   // threads); stable per-track order preserves the B/E nesting.
@@ -152,15 +99,7 @@ bool dump(const char* reason) {
     internal::Track& t = tracks[tid];
     if (t.recs.empty()) {
       t.tid = tid;
-      char name[32];
-      if (tid == npes) {
-        std::snprintf(name, sizeof(name), "wire");
-      } else if (tid == npes + 1) {
-        std::snprintf(name, sizeof(name), "other");
-      } else {
-        std::snprintf(name, sizeof(name), "PE %d", tid);
-      }
-      t.name = name;
+      t.name = internal::track_name(tid, npes);
     }
     t.recs.push_back(e.r);
   }
@@ -168,7 +107,10 @@ bool dump(const char* reason) {
   flat.reserve(tracks.size());
   for (auto& [tid, t] : tracks) flat.push_back(std::move(t));
 
-  std::string path = env_file();
+  const int proc = probe::place().proc;
+  const int nprocs = probe::place().nprocs;
+  const TscAnchor& anchor = probe::anchor();
+  std::string path = probe::env_str("MFC_FLIGHT_FILE", "mfc_flight");
   if (nprocs > 1) path += ".proc" + std::to_string(proc);
   path += ".json";
   char pname[48];

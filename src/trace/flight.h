@@ -6,7 +6,8 @@
 // drop-oldest ring of only the *rare, triage-critical* events — FT
 // checkpoints/kills/detections/recoveries, chaos injections, storm rounds,
 // LB decisions, migrate pack/unpack — recorded unconditionally (default
-// on; MFC_FLIGHT=0 disables). On a failure trigger (PE kill, wedge
+// on; MFC_FLIGHT=0 disables). The probe's event table (probe.h) marks
+// which events are flight-class; probe::emit notes them here. On a failure trigger (PE kill, wedge
 // watchdog, invariant-checker failure) the ring freezes first-trigger-wins
 // and dumps ready-to-open Perfetto JSON per process.
 //
@@ -17,10 +18,11 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
-#include "trace/trace.h"
+#include "trace/ring.h"
 
 namespace mfc::trace::flight {
 
@@ -28,60 +30,31 @@ namespace detail {
 // Recording gate. Unlike the trace gate (flipped only while no PE loop
 // runs), the freeze in dump() lands mid-run on another thread, so the
 // gate is a relaxed atomic: same single-load cost on x86, and the
-// mutex-guarded re-check in note_slow() provides the ordering that
-// matters (no note lands after the freeze captured the ring).
+// mutex-guarded re-check in note() provides the ordering that matters
+// (no note lands after the freeze captured the ring).
 extern std::atomic<bool> g_fl_on;
-void note_slow(Ev ev, std::uint64_t arg, std::uint32_t a, std::uint32_t size,
-               std::int16_t b, std::uint8_t c);
+/// Appends `r` on track `pe` (-1: the "other" track); a zero r.tsc is
+/// stamped fresh.
+void note(Record r, std::int16_t pe);
 }  // namespace detail
 
-/// False only when MFC_FLIGHT=0 (the recorder defaults ON).
-bool env_enabled();
-/// MFC_FLIGHT_FILE base name, defaulting to "mfc_flight". Dumps land at
-/// "<base>.json", or "<base>.proc<k>.json" in a multi-process machine.
-std::string env_file();
-
 /// (Re)arms the recorder: allocates the ring (`cap` 0 ⇒ MFC_FLIGHT_CAP,
-/// else 1024 records), re-anchors calibration, clears the dumped latch,
-/// applies the env gate. Machine::run calls this at boot; a second init
-/// while armed resets the window (quiescent callers only).
+/// else 1024 records), clears the dumped latch, applies the env gate
+/// (off only when MFC_FLIGHT=0).
+/// probe::start calls this at boot; a second init while armed resets the
+/// window (quiescent callers only). Timestamps are calibrated against the
+/// probe's anchor and the dump is named after the probe's place.
 void init(int npes, std::size_t cap = 0);
-void set_proc(int proc, int nprocs);
-
-/// Binds the calling kernel thread's notes to PE `pe`'s track (machine PE
-/// loops call this; unbound notes land on the "other" track).
-void bind_pe(int pe);
-void unbind_pe();
 
 inline bool on() { return detail::g_fl_on.load(std::memory_order_relaxed); }
 
-/// Records one flight event. One predicted branch when disabled.
-inline void note(Ev ev, std::uint64_t arg = 0, std::uint32_t a = 0,
-                 std::uint32_t size = 0, std::int16_t b = -1,
-                 std::uint8_t c = 0) {
-  if (!detail::g_fl_on.load(std::memory_order_relaxed)) return;
-  detail::note_slow(ev, arg, a, size, b, c);
-}
-
 /// Freezes recording and writes this process's dump (first trigger wins;
 /// later calls are no-ops returning false). `reason` lands in otherData.
+/// The dump lands at "<MFC_FLIGHT_FILE>.json" (base name "mfc_flight" by
+/// default), or "<base>.proc<k>.json" in a multi-process machine.
 bool dump(const char* reason);
 bool dumped();
 /// Path the last successful dump wrote (empty before the first).
 std::string last_dump_path();
 
 }  // namespace mfc::trace::flight
-
-namespace mfc::trace {
-
-/// emit() into the live trace AND note() into the flight recorder — used
-/// at the triage-critical sites so the black box stays populated even when
-/// MFC_TRACE is off.
-inline void emit_flight(Ev ev, std::uint64_t arg = 0, std::uint32_t a = 0,
-                        std::uint32_t size = 0, std::int16_t b = -1,
-                        std::uint8_t c = 0) {
-  emit(ev, arg, a, size, b, c);
-  flight::note(ev, arg, a, size, b, c);
-}
-
-}  // namespace mfc::trace

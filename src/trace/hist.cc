@@ -2,10 +2,9 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "trace/metrics.h"
+#include "trace/probe.h"
 
 namespace mfc::hist {
 
@@ -13,14 +12,7 @@ namespace detail {
 bool g_on = false;
 Slot* g_slots = nullptr;
 int g_npes = 0;
-std::atomic<std::uint64_t> g_epoch{0};
-thread_local Slot* t_slot = nullptr;
-thread_local std::uint64_t t_slot_epoch = 0;
 }  // namespace detail
-
-namespace {
-TscAnchor g_anchor;
-}
 
 const char* to_string(Hist h) {
   switch (h) {
@@ -34,43 +26,21 @@ const char* to_string(Hist h) {
   return "?";
 }
 
-bool env_enabled() {
-  const char* env = std::getenv("MFC_STATS");
-  return env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0;
-}
-
-std::string env_file() {
-  const char* env = std::getenv("MFC_STATS_FILE");
-  return (env != nullptr && *env != '\0') ? env : "mfc_stats.json";
-}
-
 void reset(int npes) {
   if (npes < 0) npes = 0;
   delete[] detail::g_slots;  // quiescence contract: no writer is live here
   detail::g_slots = new detail::Slot[static_cast<std::size_t>(npes) + 1];
   detail::g_npes = npes;
-  detail::g_epoch.fetch_add(1, std::memory_order_relaxed);
-  g_anchor = TscAnchor::now();
+  probe::detail::invalidate_bindings();
 }
 
 void enable(bool on) { detail::g_on = on && detail::g_slots != nullptr; }
 
-bool active() { return detail::g_slots != nullptr; }
-
-int npes() { return detail::g_npes; }
-
-void bind_pe(int pe) {
-  if (detail::g_slots == nullptr || pe < 0 || pe >= detail::g_npes) {
-    detail::t_slot = nullptr;
-    return;
-  }
-  detail::t_slot = &detail::g_slots[static_cast<std::size_t>(pe)];
-  detail::t_slot_epoch = detail::g_epoch.load(std::memory_order_relaxed);
+void record(Hist h, std::uint64_t ticks) {
+  if (!detail::g_on) return;
+  probe::detail::Binding* t = probe::detail::bound();
+  detail::add(t != nullptr ? t->hist : nullptr, h, ticks);
 }
-
-void unbind_pe() { detail::t_slot = nullptr; }
-
-double ns_per_tick_now() { return g_anchor.ns_per_tick(TscAnchor::now()); }
 
 std::uint64_t Snapshot::count(Hist h) const {
   const int hi = static_cast<int>(h);
@@ -135,7 +105,7 @@ bool write_stats_json(const std::string& path) {
   if (f == nullptr) return false;
   const metrics::Snapshot counters = metrics::snapshot();
   const Snapshot hists = snapshot();
-  const double npt = ns_per_tick_now();
+  const double npt = probe::anchor().ns_per_tick(TscAnchor::now());
   auto ns = [&](std::uint64_t ticks) {
     return static_cast<unsigned long long>(
         static_cast<double>(ticks) * npt);

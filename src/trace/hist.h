@@ -6,7 +6,7 @@
 // load+store — no lock-prefixed RMW), a shared fetch_add slot for unbound
 // threads, snapshot/merge for readers. Values are recorded in raw rdtsc
 // ticks (zero conversion on the hot path); the ns conversion happens once,
-// at snapshot/dump time, against a session-long TscAnchor baseline.
+// at dump time, against the probe's session-long TscAnchor.
 //
 // Bucketing: values < 32 land in unit-width linear buckets; above that,
 // each power-of-two octave splits into 32 subbuckets, giving a bounded
@@ -17,8 +17,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-
-#include "util/timer.h"
 
 namespace mfc::hist {
 
@@ -80,34 +78,16 @@ struct alignas(64) Slot {
 
 extern Slot* g_slots;  ///< npes per-PE slots + 1 shared; swapped by reset()
 extern int g_npes;
-extern std::atomic<std::uint64_t> g_epoch;
-extern thread_local Slot* t_slot;
-extern thread_local std::uint64_t t_slot_epoch;
 
-inline Slot* bound_slot() {
-  if (t_slot != nullptr &&
-      t_slot_epoch == g_epoch.load(std::memory_order_relaxed)) {
-    return t_slot;
-  }
-  return nullptr;
-}
-}  // namespace detail
-
-/// True when recording is enabled (one predicted branch when off — callers
-/// gate their rdtsc reads on this, so a stats-off run never pays a clock
-/// read).
-inline bool on() { return detail::g_on; }
-
-/// Records one sample (raw ticks). Single-writer bump on the bound PE's
-/// slot; shared fetch_add from unbound threads; dropped before reset().
-inline void record(Hist h, std::uint64_t ticks) {
-  if (!detail::g_on) return;
+/// One sample (raw ticks) into `s` — the caller's bound slot, written
+/// single-writer — or, when `s` is null, into the shared slot by fetch_add.
+/// Dropped before reset().
+inline void add(Slot* s, Hist h, std::uint64_t ticks) {
   const int hi = static_cast<int>(h);
   const int bi = bucket_index(ticks);
-  if (detail::Slot* s = detail::bound_slot()) {
+  if (s != nullptr) {
     auto& b = s->b[hi][bi];
-    b.store(b.load(std::memory_order_relaxed) + 1,
-            std::memory_order_relaxed);
+    b.store(b.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
     auto& sum = s->sum[hi];
     sum.store(sum.load(std::memory_order_relaxed) + ticks,
               std::memory_order_relaxed);
@@ -117,39 +97,34 @@ inline void record(Hist h, std::uint64_t ticks) {
     }
     return;
   }
-  if (detail::g_slots == nullptr) return;
-  detail::Slot& s = detail::g_slots[detail::g_npes];
-  s.b[hi][bi].fetch_add(1, std::memory_order_relaxed);
-  s.sum[hi].fetch_add(ticks, std::memory_order_relaxed);
-  std::uint64_t prev = s.max[hi].load(std::memory_order_relaxed);
+  if (g_slots == nullptr) return;
+  Slot& sh = g_slots[g_npes];
+  sh.b[hi][bi].fetch_add(1, std::memory_order_relaxed);
+  sh.sum[hi].fetch_add(ticks, std::memory_order_relaxed);
+  std::uint64_t prev = sh.max[hi].load(std::memory_order_relaxed);
   while (ticks > prev &&
-         !s.max[hi].compare_exchange_weak(prev, ticks,
-                                          std::memory_order_relaxed)) {
+         !sh.max[hi].compare_exchange_weak(prev, ticks,
+                                           std::memory_order_relaxed)) {
   }
 }
+}  // namespace detail
 
-/// True when MFC_STATS=1 (or any value other than "" / "0") is set.
-bool env_enabled();
-/// MFC_STATS_FILE, defaulting to "mfc_stats.json".
-std::string env_file();
+/// True when recording is enabled (one predicted branch when off — callers
+/// gate their rdtsc reads on this, so a stats-off run never pays a clock
+/// read).
+inline bool on() { return detail::g_on; }
 
-/// (Re)allocates npes+1 slots, zeroed, and anchors the tick-rate
-/// calibration baseline. Must run while no PE loop is running.
+/// Records one sample (raw ticks) on the calling thread's probe binding
+/// (probe.h); the probe's event table records the runtime's own
+/// intervals, this is for samples no single event brackets.
+void record(Hist h, std::uint64_t ticks);
+
+/// (Re)allocates npes+1 slots, zeroed. Must run while no PE loop is
+/// running.
 void reset(int npes);
-/// Flips the recording gate (quiescent callers only).
+/// Flips the recording gate (quiescent callers only). While it is on,
+/// Machine::run leaves the histograms to whoever armed them.
 void enable(bool on);
-/// True between reset() and the next reset-with-different-geometry; used
-/// by Machine::run to avoid stomping an explicitly managed session.
-bool active();
-int npes();
-
-/// Binds the calling kernel thread to PE `pe`'s slot (the machine's PE
-/// loops do); out-of-range leaves the thread on the shared slot.
-void bind_pe(int pe);
-void unbind_pe();
-
-/// ns per tick measured from reset() to now (session-long baseline).
-double ns_per_tick_now();
 
 /// Point-in-time merged copy of every slot. ~50 KiB — treat as a heap
 /// object (the storm driver and dumps allocate one, not ULT stacks).

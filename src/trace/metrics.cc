@@ -1,38 +1,16 @@
 #include "trace/metrics.h"
 
-#include <atomic>
-#include <memory>
+#include "trace/probe.h"
 
 namespace mfc::metrics {
 
-namespace {
-
-struct alignas(64) Slot {
-  std::atomic<std::uint64_t> v[kCounterCount] = {};
-};
-
-// g_slots[0..g_npes-1] are the per-PE single-writer slots; g_slots[g_npes]
-// is the shared slot. Swapped only by reset() under the quiescence
-// contract; the epoch guard invalidates thread_local bindings from a
-// previous generation (same pattern as the chaos streams / trace rings).
-std::unique_ptr<Slot[]> g_slots;
+namespace detail {
+Slot* g_slots = nullptr;
 int g_npes = 0;
-std::atomic<std::uint64_t> g_epoch{0};
-int g_proc = 0;
-int g_nprocs = 1;
+}  // namespace detail
 
-thread_local Slot* t_slot = nullptr;
-thread_local std::uint64_t t_slot_epoch = 0;
-
-Slot* bound_slot() {
-  if (t_slot != nullptr &&
-      t_slot_epoch == g_epoch.load(std::memory_order_relaxed)) {
-    return t_slot;
-  }
-  return nullptr;
-}
-
-}  // namespace
+using detail::g_npes;
+using detail::g_slots;
 
 const char* to_string(Counter c) {
   switch (c) {
@@ -81,45 +59,17 @@ const char* to_string(Counter c) {
 
 void reset(int npes) {
   if (npes < 0) npes = 0;
-  g_slots = std::make_unique<Slot[]>(static_cast<std::size_t>(npes) + 1);
+  delete[] g_slots;  // quiescence contract: no writer is live here
+  g_slots = new detail::Slot[static_cast<std::size_t>(npes) + 1];
   g_npes = npes;
-  g_epoch.fetch_add(1, std::memory_order_relaxed);
+  probe::detail::invalidate_bindings();
 }
 
 int npes() { return g_npes; }
 
-void bind_pe(int pe) {
-  if (g_slots == nullptr || pe < 0 || pe >= g_npes) {
-    t_slot = nullptr;
-    return;
-  }
-  t_slot = &g_slots[static_cast<std::size_t>(pe)];
-  t_slot_epoch = g_epoch.load(std::memory_order_relaxed);
-}
-
-void unbind_pe() { t_slot = nullptr; }
-
-void set_proc(int proc, int nprocs) {
-  g_proc = proc < 0 ? 0 : proc;
-  g_nprocs = nprocs < 1 ? 1 : nprocs;
-}
-
-int proc() { return g_proc; }
-
-int nprocs() { return g_nprocs; }
-
 void bump(Counter c, std::uint64_t n) {
-  const int i = static_cast<int>(c);
-  if (Slot* s = bound_slot()) {
-    // Single-writer: only the owning PE thread stores here, so a relaxed
-    // load+store replaces the lock-prefixed RMW on the hot path.
-    s->v[i].store(s->v[i].load(std::memory_order_relaxed) + n,
-                  std::memory_order_relaxed);
-    return;
-  }
-  if (g_slots == nullptr) return;
-  g_slots[static_cast<std::size_t>(g_npes)].v[i].fetch_add(
-      n, std::memory_order_relaxed);
+  probe::detail::Binding* t = probe::detail::bound();
+  detail::add(t != nullptr ? t->counters : nullptr, static_cast<int>(c), n);
 }
 
 std::uint64_t total(Counter c) {
@@ -163,9 +113,10 @@ Snapshot snapshot() {
   for (int i = 0; i < kCounterCount; ++i) {
     out.v[i] = total(static_cast<Counter>(i));
   }
-  out.proc = g_proc;
-  out.nprocs = g_nprocs;
-  out.procs = g_proc < 64 ? (std::uint64_t{1} << g_proc) : 0;
+  const probe::Place& place = probe::place();
+  out.proc = place.proc;
+  out.nprocs = place.nprocs;
+  out.procs = place.proc < 64 ? (std::uint64_t{1} << place.proc) : 0;
   return out;
 }
 

@@ -7,11 +7,14 @@
 // snapshot/merge API instead of N private bookkeeping schemes.
 //
 // Write discipline mirrors the messaging layer: a counter slot is written
-// only by its owning PE's kernel thread, so bump() on a bound thread is a
+// only by its owning PE's kernel thread, so a bump on a bound thread is a
 // relaxed load+store — no lock-prefixed RMW on the hot path. Unbound
 // threads fall back to fetch_add on the shared slot (cold paths only).
+// Threads bind through the probe (probe.h), which also bumps the counters
+// its event table maps events to.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 
 namespace mfc::metrics {
@@ -80,20 +83,32 @@ void reset(int npes);
 /// PE slots currently allocated (0 before the first reset).
 int npes();
 
-/// Binds the calling kernel thread to PE `pe`'s slot; out-of-range or
-/// pre-reset binds leave the thread on the shared slot.
-void bind_pe(int pe);
-void unbind_pe();
+namespace detail {
+struct alignas(64) Slot {
+  std::atomic<std::uint64_t> v[kCounterCount] = {};
+};
 
-/// Declares this process's place in a multi-process machine. Machine::run
-/// calls it post-fork (and resets to 0/1 for single-process runs); every
-/// snapshot taken afterwards carries the proc id as provenance.
-void set_proc(int proc, int nprocs);
-int proc();
-int nprocs();
+// g_slots[0..g_npes-1] are the per-PE single-writer slots; g_slots[g_npes]
+// is the shared slot. Swapped only by reset() under the quiescence
+// contract.
+extern Slot* g_slots;
+extern int g_npes;
 
-/// Increments `c` by `n`: single-writer store on the bound PE slot, shared
-/// fetch_add otherwise. Drops silently before the first reset.
+/// Adds `n` to counter `i`: single-writer store on `s` (the caller's bound
+/// slot), shared fetch_add when `s` is null. Drops before the first reset.
+inline void add(Slot* s, int i, std::uint64_t n) {
+  if (s != nullptr) {
+    s->v[i].store(s->v[i].load(std::memory_order_relaxed) + n,
+                  std::memory_order_relaxed);
+    return;
+  }
+  if (g_slots == nullptr) return;
+  g_slots[g_npes].v[i].fetch_add(n, std::memory_order_relaxed);
+}
+}  // namespace detail
+
+/// Increments `c` by `n` for an occurrence no probe event reports: the
+/// bound PE's slot, or the shared slot from an unbound thread.
 void bump(Counter c, std::uint64_t n = 1);
 
 /// Sum over all PE slots plus the shared slot.

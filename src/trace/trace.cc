@@ -1,10 +1,7 @@
 #include "trace/trace.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -12,6 +9,7 @@
 #include <vector>
 
 #include "trace/export_internal.h"
+#include "trace/probe.h"
 #include "util/check.h"
 #include "util/digest.h"
 
@@ -32,41 +30,21 @@ constexpr std::size_t kDefaultRingCap = std::size_t{1} << 13;
 
 struct Session {
   // rings[0..npes-1] are the PE rings; rings[npes] is the wire ring the
-  // transport comm thread binds (bind_comm).
+  // transport comm thread binds (probe::WireScope). Timestamps are placed
+  // by the probe's anchor, taken when the session starts: ns_per_tick is
+  // computed once at stop over the whole session (one long baseline beats
+  // a short warm-up measurement), and the anchor's monotonic reading puts
+  // this process's timeline on the machine-shared clock so parts from
+  // forked processes merge onto one axis.
   std::vector<std::unique_ptr<Ring>> rings;
   int npes = 0;
-  // rdtsc ↔ steady_clock calibration samples. ns_per_tick is computed once
-  // at stop from (steady elapsed / tsc elapsed) — one long baseline beats
-  // a short warm-up measurement. mono0_ns anchors this process's timeline
-  // on the machine-shared monotonic clock so parts from forked processes
-  // merge onto one axis.
-  std::uint64_t tsc0 = 0;
-  std::chrono::steady_clock::time_point wall0;
-  std::int64_t mono0_ns = 0;
-  // Multi-process placement (set_proc) + handshake skew (set_clock_skew).
-  int proc = 0;
-  int nprocs = 1;
-  int local_first = 0;
-  int local_npes = 0;  // 0 ⇒ set_proc never called: all rings are local
-  std::int64_t skew_ns = 0;
+  std::int64_t skew_ns = 0;  ///< handshake estimate (set_clock_skew)
   std::map<std::string, std::string> meta;
   std::mutex meta_mu;
 };
 
 Session* g_session = nullptr;
 Summary g_last;
-
-std::size_t env_ring_cap() {
-  if (const char* env = std::getenv("MFC_TRACE_CAP");
-      env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(env, &end, 0);
-    if (end != nullptr && *end == '\0' && v > 0) {
-      return static_cast<std::size_t>(v);
-    }
-  }
-  return kDefaultRingCap;
-}
 
 Summary summarize(const Session& s) {
   Summary out;
@@ -83,7 +61,7 @@ Summary summarize(const Session& s) {
 }
 
 void teardown(Session* s) {
-  detail::g_epoch.fetch_add(1, std::memory_order_relaxed);
+  probe::detail::invalidate_bindings();
   delete s;
   g_session = nullptr;
 }
@@ -539,62 +517,34 @@ std::vector<Record> flatten(const Ring& ring) {
   return out;
 }
 
-/// Track (tid) label: PE rings are "PE n"; the extra comm-thread ring is
-/// the process's "wire" track.
 void write_thread_name(JsonWriter& w, std::FILE* f, int tid, int npes) {
-  char tname[32];
-  if (tid == npes) {
-    std::snprintf(tname, sizeof(tname), "\"wire\"");
-  } else {
-    std::snprintf(tname, sizeof(tname), "\"PE %d\"", tid);
-  }
   w.event("thread_name", 'M', tid, 0);
   w.args_begin();
-  std::fprintf(f, "\"name\":%s", tname);
+  std::fprintf(f, "\"name\":\"%s\"", internal::track_name(tid, npes).c_str());
   w.args_end();
   w.done();
 }
 
 bool export_json(Session& s, const std::string& path, double ns_per_tick,
                  const Summary& summary) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fprintf(f, "{\"traceEvents\":[\n");
-  JsonWriter w(f);
-  w.event("process_name", 'M', 0, 0);
-  w.args_begin();
-  std::fprintf(f, "\"name\":\"mfc\"");
-  w.args_end();
-  w.done();
+  std::vector<internal::Track> tracks;
   for (const auto& ring : s.rings) {
     // The wire track only exists when a wire transport ran (loopback or
     // multi-process); keep single-process traces byte-stable otherwise.
     if (ring->pe() == s.npes && ring->size() == 0) continue;
-    write_thread_name(w, f, ring->pe(), s.npes);
+    tracks.push_back(
+        {ring->pe(), internal::track_name(ring->pe(), s.npes), flatten(*ring)});
   }
-  for (const auto& ring : s.rings) {
-    const std::vector<Record> recs = flatten(*ring);
-    export_records(w, recs.data(), recs.size(), ring->pe(), s.tsc0,
-                   ns_per_tick, 0);
-  }
-  std::fprintf(f, "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{");
-  std::fprintf(f, "\"npes\":\"%d\",\"emitted\":\"%llu\",\"dropped\":\"%llu\"",
-               summary.npes,
-               static_cast<unsigned long long>(summary.emitted),
-               static_cast<unsigned long long>(summary.dropped));
+  std::vector<std::pair<std::string, std::string>> meta = {
+      {"npes", std::to_string(summary.npes)},
+      {"emitted", std::to_string(summary.emitted)},
+      {"dropped", std::to_string(summary.dropped)}};
   {
     std::lock_guard<std::mutex> lock(s.meta_mu);
-    for (const auto& [key, value] : s.meta) {
-      std::string k, v;
-      json_escape(k, key);
-      json_escape(v, value);
-      std::fprintf(f, ",\"%s\":\"%s\"", k.c_str(), v.c_str());
-    }
+    meta.insert(meta.end(), s.meta.begin(), s.meta.end());
   }
-  std::fprintf(f, "}}\n");
-  bool ok = std::ferror(f) == 0;
-  if (std::fclose(f) != 0) ok = false;
-  return ok;
+  return internal::write_tracks_json(path, 0, "mfc", tracks,
+                                     probe::anchor().tsc, ns_per_tick, meta);
 }
 
 // ---- binary trace parts (multi-process merge) ----------------------------
@@ -638,9 +588,11 @@ bool write_part(Session& s, const std::string& path, double ns_per_tick,
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return false;
   // A part carries only the rings this process wrote: its local PE range
-  // (everything when set_proc was never called) plus a non-empty wire ring.
-  const int lo = s.local_npes > 0 ? s.local_first : 0;
-  const int hi = s.local_npes > 0 ? s.local_first + s.local_npes : s.npes;
+  // (every PE ring when no range was declared) plus a non-empty wire ring.
+  const probe::Place& place = probe::place();
+  const int lo = place.local_npes > 0 ? place.local_first : 0;
+  const int hi =
+      place.local_npes > 0 ? place.local_first + place.local_npes : s.npes;
   std::vector<const Ring*> rings;
   for (const auto& r : s.rings) {
     const int pe = r->pe();
@@ -653,12 +605,12 @@ bool write_part(Session& s, const std::string& path, double ns_per_tick,
   PartHead h{};
   std::memcpy(h.magic, kPartMagic, sizeof(h.magic));
   h.version = 1;
-  h.proc = s.proc;
-  h.nprocs = s.nprocs;
+  h.proc = place.proc;
+  h.nprocs = place.nprocs;
   h.npes = s.npes;
   h.nrings = static_cast<std::int32_t>(rings.size());
-  h.tsc0 = s.tsc0;
-  h.mono0_ns = s.mono0_ns;
+  h.tsc0 = probe::anchor().tsc;
+  h.mono0_ns = probe::anchor().mono_ns;
   h.skew_ns = s.skew_ns;
   h.ns_per_tick = ns_per_tick;
   h.emitted = summary.emitted;
@@ -750,20 +702,24 @@ bool read_part(const std::string& path, LoadedPart& out, std::string* err) {
   return true;
 }
 
-/// Ends the recording phase: gate off, calibrate tick rate from the full
-/// session baseline. Caller must be quiescent (no PE loop running).
-double end_recording(Session& s) {
+/// Ends the session: gate off, tick rate calibrated over the whole
+/// session, summary kept in g_last, `write` run on the rings (its result
+/// reported through `ok`), rings freed. Caller must be quiescent (no PE
+/// loop running).
+template <typename Write>
+Summary end_session(bool* ok, Write&& write) {
+  Session* s = g_session;
+  if (s == nullptr) {
+    if (ok != nullptr) *ok = false;
+    return Summary{};
+  }
   detail::g_on = false;
-  const std::uint64_t tsc1 = rdtsc();
-  const auto wall1 = std::chrono::steady_clock::now();
-  const double elapsed_ns =
-      static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              wall1 - s.wall0)
-                              .count());
-  const std::uint64_t ticks = tsc1 > s.tsc0 ? tsc1 - s.tsc0 : 1;
-  double ns_per_tick = elapsed_ns / static_cast<double>(ticks);
-  if (!(ns_per_tick > 0.0)) ns_per_tick = 1.0;
-  return ns_per_tick;
+  const double ns_per_tick = probe::anchor().ns_per_tick(TscAnchor::now());
+  g_last = summarize(*s);
+  const bool wrote = write(*s, ns_per_tick, g_last);
+  if (ok != nullptr) *ok = wrote;
+  teardown(s);
+  return g_last;
 }
 
 }  // namespace
@@ -812,25 +768,30 @@ const char* to_string(Ev ev) {
 
 namespace detail {
 
-std::atomic<std::uint64_t> g_epoch{0};
-thread_local TlsState t_tls;
+Ring* ring(int pe) {
+  Session* s = g_session;
+  if (s == nullptr || pe < 0 || pe >= s->npes) return nullptr;
+  return s->rings[static_cast<std::size_t>(pe)].get();
+}
+
+Ring* wire_ring() {
+  return g_session != nullptr ? g_session->rings.back().get() : nullptr;
+}
 
 }  // namespace detail
 
-bool env_enabled() {
-  const char* env = std::getenv("MFC_TRACE");
-  return env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0;
-}
+bool env_enabled() { return probe::env_flag("MFC_TRACE"); }
 
 std::string env_file() {
-  const char* env = std::getenv("MFC_TRACE_FILE");
-  return (env != nullptr && *env != '\0') ? env : "mfc_trace.json";
+  return probe::env_str("MFC_TRACE_FILE", "mfc_trace.json");
 }
 
 bool start(int npes, std::size_t ring_capacity) {
   MFC_CHECK(npes > 0);
   if (g_session != nullptr) return false;
-  if (ring_capacity == 0) ring_capacity = env_ring_cap();
+  if (ring_capacity == 0) {
+    ring_capacity = probe::env_size("MFC_TRACE_CAP", kDefaultRingCap);
+  }
   auto* s = new Session;
   s->npes = npes;
   // npes PE rings + one wire ring (index npes) for the comm thread.
@@ -838,53 +799,13 @@ bool start(int npes, std::size_t ring_capacity) {
   for (int pe = 0; pe <= npes; ++pe) {
     s->rings.push_back(std::make_unique<Ring>(pe, ring_capacity));
   }
-  s->tsc0 = rdtsc();
-  s->wall0 = std::chrono::steady_clock::now();
-  s->mono0_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    s->wall0.time_since_epoch())
-                    .count();
+  probe::reanchor();
   g_session = s;
-  detail::g_epoch.fetch_add(1, std::memory_order_relaxed);
   detail::g_on = true;
   return true;
 }
 
 bool active() { return g_session != nullptr; }
-
-void bind_pe(int pe) {
-  Session* s = g_session;
-  detail::TlsState& tls = detail::t_tls;
-  if (s == nullptr || pe < 0 || pe >= s->npes) {
-    tls.ring = nullptr;
-    return;
-  }
-  tls.ring = s->rings[static_cast<std::size_t>(pe)].get();
-  tls.epoch = detail::g_epoch.load(std::memory_order_relaxed);
-  tls.tsc_age = 1u << 30;  // first emit on this binding reads the clock
-}
-
-void unbind_pe() { detail::t_tls.ring = nullptr; }
-
-void bind_comm() {
-  Session* s = g_session;
-  detail::TlsState& tls = detail::t_tls;
-  if (s == nullptr) {
-    tls.ring = nullptr;
-    return;
-  }
-  tls.ring = s->rings.back().get();
-  tls.epoch = detail::g_epoch.load(std::memory_order_relaxed);
-  tls.tsc_age = 1u << 30;
-}
-
-void set_proc(int proc, int nprocs, int local_first, int local_npes) {
-  Session* s = g_session;
-  if (s == nullptr) return;
-  s->proc = proc;
-  s->nprocs = nprocs;
-  s->local_first = local_first;
-  s->local_npes = local_npes;
-}
 
 void set_clock_skew(std::int64_t skew_ns) {
   Session* s = g_session;
@@ -909,40 +830,21 @@ std::uint64_t Summary::digest(std::initializer_list<Ev> evs) const {
 }
 
 Summary stop() {
-  Session* s = g_session;
-  if (s == nullptr) return Summary{};
-  end_recording(*s);
-  g_last = summarize(*s);
-  teardown(s);
-  return g_last;
+  return end_session(nullptr, [](Session&, double, const Summary&) {
+    return true;
+  });
 }
 
 Summary stop_and_export(const std::string& path, bool* ok) {
-  Session* s = g_session;
-  if (s == nullptr) {
-    if (ok != nullptr) *ok = false;
-    return Summary{};
-  }
-  const double ns_per_tick = end_recording(*s);
-  g_last = summarize(*s);
-  const bool wrote = export_json(*s, path, ns_per_tick, g_last);
-  if (ok != nullptr) *ok = wrote;
-  teardown(s);
-  return g_last;
+  return end_session(ok, [&](Session& s, double npt, const Summary& sum) {
+    return export_json(s, path, npt, sum);
+  });
 }
 
 Summary stop_and_export_part(const std::string& path, bool* ok) {
-  Session* s = g_session;
-  if (s == nullptr) {
-    if (ok != nullptr) *ok = false;
-    return Summary{};
-  }
-  const double ns_per_tick = end_recording(*s);
-  g_last = summarize(*s);
-  const bool wrote = write_part(*s, path, ns_per_tick, g_last);
-  if (ok != nullptr) *ok = wrote;
-  teardown(s);
-  return g_last;
+  return end_session(ok, [&](Session& s, double npt, const Summary& sum) {
+    return write_part(s, path, npt, sum);
+  });
 }
 
 bool merge_parts(const std::vector<std::string>& part_paths,
@@ -1040,6 +942,12 @@ bool merge_parts(const std::vector<std::string>& part_paths,
 const Summary& last_summary() { return g_last; }
 
 namespace internal {
+
+std::string track_name(int tid, int npes) {
+  if (tid == npes) return "wire";
+  if (tid == npes + 1) return "other";
+  return "PE " + std::to_string(tid);
+}
 
 bool write_tracks_json(
     const std::string& path, int pid, const std::string& proc_name,

@@ -10,17 +10,16 @@
 // the hot path is ONE predictable branch on a plain bool (`detail::g_on`,
 // written only while every PE is quiescent) — no atomics, no TLS lookup.
 // With tracing on, each event is a 32-byte store into the PE's
-// single-writer ring (see ring.h); the clock (rdtsc, ~20 ns virtualized)
-// is read fresh only on span-closing events and reused with bounded
-// staleness elsewhere, so a send+dispatch pays ~one clock read per message.
+// single-writer ring (see ring.h). Events are recorded by probe::emit
+// (probe.h), which also owns the per-thread ring binding and the clock
+// policy.
 //
-// Session lifecycle: trace::start(npes) before Machine::run, bind_pe on each
-// PE loop, stop_and_export(path) after the PEs have joined. Machine::run
-// auto-starts/exports a session when MFC_TRACE=1 and no explicit session is
-// active, so `MFC_TRACE=1 ./some_test` just works.
+// Session lifecycle: trace::start(npes) before Machine::run, probe::bind_pe
+// on each PE loop, stop_and_export(path) after the PEs have joined.
+// Machine::run auto-starts/exports a session when MFC_TRACE=1 and no
+// explicit session is active, so `MFC_TRACE=1 ./some_test` just works.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -28,83 +27,21 @@
 #include <vector>
 
 #include "trace/ring.h"
-#include "util/timer.h"
 
 namespace mfc::trace {
 
 namespace detail {
 // Tracing-enabled gate. Plain (non-atomic) bool: flipped only by
 // start()/stop() while no PE loop is running, read racily-but-benignly by
-// emit(). Keeping it a plain bool keeps the off path to one test+branch.
+// probe::emit(). Keeping it a plain bool keeps the off path to one
+// test+branch.
 extern bool g_on;
 
-// Session generation; bumped on every start/stop so a stale TLS binding
-// from a previous session fails the epoch compare instead of dangling.
-extern std::atomic<std::uint64_t> g_epoch;
-
-/// Per-thread emit state, consolidated so one TLS address computation
-/// serves the ring pointer, the epoch guard, and the timestamp cache.
-struct TlsState {
-  Ring* ring = nullptr;
-  std::uint64_t epoch = 0;
-  std::uint64_t tsc_cache = 0;
-  unsigned tsc_age = 1u << 30;  // stale ⇒ first emit reads the clock
-};
-extern thread_local TlsState t_tls;
-
-// Edge-triggered timestamping. rdtsc costs ~20 ns on virtualized hosts —
-// several times the rest of the emit path — so only events that CLOSE a
-// duration span read the clock fresh (their edge is what duration math
-// needs exact); instants and span-opens reuse the last read, bounded to
-// kTscRefreshStride records of staleness for streams with no closing
-// edges. Same-thread reuse keeps per-ring timestamps monotonic.
-constexpr unsigned kTscRefreshStride = 8;
-
-inline bool closes_span(Ev ev) {
-  switch (ev) {
-    case Ev::kHandlerEnd:
-    case Ev::kUltSwitchOut:
-    case Ev::kMigratePackEnd:
-    case Ev::kMigrateUnpackEnd:
-    case Ev::kFtCheckpointEnd:
-    case Ev::kFtRecoveryEnd:
-    case Ev::kWireSendEnd:
-    case Ev::kWireAsmEnd:
-      return true;
-    default:
-      return false;
-  }
-}
+/// The session's ring for PE `pe` and its "wire" ring; null without a
+/// session or out of range. The probe binds threads through them.
+Ring* ring(int pe);
+Ring* wire_ring();
 }  // namespace detail
-
-/// Records one event on the calling PE's ring. No-op (one predictable
-/// branch) when tracing is off; a ~32-byte single-writer ring store plus,
-/// on span-closing events, one rdtsc read when it is on.
-inline void emit(Ev ev, std::uint64_t arg = 0, std::uint32_t a = 0,
-                 std::uint32_t size = 0, std::int16_t b = -1,
-                 std::uint8_t c = 0) {
-  if (!detail::g_on) return;
-  detail::TlsState& tls = detail::t_tls;
-  Ring* ring = tls.ring;
-  if (ring == nullptr ||
-      tls.epoch != detail::g_epoch.load(std::memory_order_relaxed)) {
-    return;
-  }
-  if (detail::closes_span(ev) ||
-      ++tls.tsc_age >= detail::kTscRefreshStride) {
-    tls.tsc_cache = rdtsc();
-    tls.tsc_age = 0;
-  }
-  Record r;
-  r.tsc = tls.tsc_cache;
-  r.arg = arg;
-  r.a = a;
-  r.size = size;
-  r.b = b;
-  r.ev = static_cast<std::uint8_t>(ev);
-  r.c = c;
-  ring->write(r);
-}
 
 inline bool enabled() { return detail::g_on; }
 
@@ -115,53 +52,11 @@ std::string env_file();
 
 /// Starts a recording session with one ring per PE plus one "wire" ring for
 /// the process's transport comm thread. `ring_capacity` 0 means
-/// MFC_TRACE_CAP if set, else 8Ki records per PE. Must be called while no
-/// PE loop is running; returns false if a session is already active.
+/// MFC_TRACE_CAP if set, else 8Ki records per PE. The probe's clock anchor
+/// is re-taken as the session's time origin. Must be called while no PE
+/// loop is running; returns false if a session is already active.
 bool start(int npes, std::size_t ring_capacity = 0);
 bool active();
-
-/// Binds/unbinds the calling kernel thread to PE `pe`'s ring. The machine's
-/// PE loops call this; emit() from an unbound thread is dropped.
-void bind_pe(int pe);
-void unbind_pe();
-
-/// Binds the calling kernel thread to the session's wire ring (track
-/// "wire", tid = npes). The transport comm thread calls this so wire-level
-/// deliver/reassembly/rendezvous events land on their own track.
-void bind_comm();
-
-/// Scoped bind_comm(): while alive, the calling thread's emits land on the
-/// wire ring, and its previous binding is restored on destruction. The wire
-/// ring is single-writer, so only the holder of the shm transport's
-/// consumer token opens one. One branch when tracing is off.
-class WireScope {
- public:
-  WireScope() : on_(detail::g_on) {
-    if (!on_) return;
-    saved_ring_ = detail::t_tls.ring;
-    saved_epoch_ = detail::t_tls.epoch;
-    bind_comm();
-  }
-  ~WireScope() {
-    if (!on_) return;
-    detail::t_tls.ring = saved_ring_;
-    detail::t_tls.epoch = saved_epoch_;
-    detail::t_tls.tsc_age = 1u << 30;  // keep the restored ring monotonic
-  }
-  WireScope(const WireScope&) = delete;
-  WireScope& operator=(const WireScope&) = delete;
-
- private:
-  bool on_;
-  Ring* saved_ring_ = nullptr;
-  std::uint64_t saved_epoch_ = 0;
-};
-
-/// Declares this process's place in a multi-process machine. Machine::run
-/// calls it post-fork; a part export (below) then covers only the rings
-/// this process actually wrote (its local PE range plus the wire ring)
-/// instead of all npes rings.
-void set_proc(int proc, int nprocs, int local_first, int local_npes);
 
 /// Records this process's estimated monotonic-clock skew versus proc 0
 /// (from the boot-time clock handshake over the transport). Stored in the
@@ -169,18 +64,6 @@ void set_proc(int proc, int nprocs, int local_first, int local_npes);
 /// processes share CLOCK_MONOTONIC, so the skew is normally ~0 and the
 /// handshake is a cross-host-proofing refinement, not a correctness need.
 void set_clock_skew(std::int64_t skew_ns);
-
-/// Allocates a machine-wide-unique flow id on the bound PE's ring (0 if
-/// tracing is off / unbound). Flow ids tie a send to its remote dispatch.
-inline std::uint64_t next_flow_id() {
-  if (!detail::g_on) return 0;
-  detail::TlsState& tls = detail::t_tls;
-  if (tls.ring == nullptr ||
-      tls.epoch != detail::g_epoch.load(std::memory_order_relaxed)) {
-    return 0;
-  }
-  return tls.ring->next_flow();
-}
 
 /// Attaches a key/value pair to the trace (exported under "otherData" and
 /// into the summary). Used by the storm driver for chaos seed / technique
@@ -208,8 +91,9 @@ Summary stop();
 /// is non-null it is set to false when the file could not be written.
 Summary stop_and_export(const std::string& path, bool* ok = nullptr);
 
-/// Ends the session and writes a binary trace *part* to `path`: raw ring
-/// records plus this process's rdtsc↔monotonic calibration and clock-skew
+/// Ends the session and writes a binary trace *part* to `path`: the raw
+/// records of the rings this process wrote (its probe::place() PE range
+/// plus the wire ring), the probe anchor's calibration and the clock-skew
 /// estimate. Parts from the processes of one machine run are merged into a
 /// single clock-aligned Perfetto JSON by merge_parts / tools/trace_merge.
 Summary stop_and_export_part(const std::string& path, bool* ok = nullptr);

@@ -1,6 +1,6 @@
 #include "ult/scheduler.h"
 
-#include "trace/trace.h"
+#include "trace/probe.h"
 #include "util/check.h"
 #include "util/timer.h"
 
@@ -27,7 +27,7 @@ void Scheduler::ready(Thread* t) {
   MFC_CHECK_MSG(t->state_ != State::kDone, "ready() on finished thread");
   MFC_CHECK_MSG(t->state_ != State::kReady, "ready() on already-queued thread");
   t->state_ = State::kReady;
-  trace::emit(trace::Ev::kUltResume, t->id());
+  probe::emit(probe::Ev::kUltResume, t->id());
   ready_.push_back(t);
 }
 
@@ -36,7 +36,7 @@ void Scheduler::ready_prioritized(Thread* t, int priority) {
   MFC_CHECK_MSG(t->state_ != State::kDone, "ready() on finished thread");
   MFC_CHECK_MSG(t->state_ != State::kReady, "ready() on already-queued thread");
   t->state_ = State::kReady;
-  trace::emit(trace::Ev::kUltResume, t->id());
+  probe::emit(probe::Ev::kUltResume, t->id());
   if (priority == 0) {
     ready_.push_back(t);
     return;
@@ -94,7 +94,7 @@ bool Scheduler::run_one() {
   // time attributable to this thread. Capture the id now: a migratable
   // thread's husk must not be touched once the slice might have moved it.
   const std::uint64_t tid = t->id();
-  trace::emit(trace::Ev::kUltSwitchIn, tid);
+  probe::emit(probe::Ev::kUltSwitchIn, tid);
   t->on_switch_in();
   if (t->switch_hook_) t->switch_hook_(t->switch_hook_ctx_, true);
   t->slice_start_ = wall_time();
@@ -105,7 +105,7 @@ bool Scheduler::run_one() {
   running_ = nullptr;
   if (t->switch_hook_) t->switch_hook_(t->switch_hook_ctx_, false);
   t->on_switch_out();
-  trace::emit(trace::Ev::kUltSwitchOut, tid);
+  probe::emit(probe::Ev::kUltSwitchOut, tid);
   t_current = prev;
   if (t->state_ == State::kDone && t->delete_on_exit()) delete t;
   return true;
@@ -121,7 +121,7 @@ void Scheduler::switch_out_of_running(State next_state) {
   Thread* t = running_;
   t->state_ = next_state;
   if (next_state == State::kSuspended) {
-    trace::emit(trace::Ev::kUltSuspend, t->id());
+    probe::emit(probe::Ev::kUltSuspend, t->id());
   }
   if (next_state == State::kReady) ready_.push_back(t);
   arch::swap_context(&t->ctx_, &main_);

@@ -2,7 +2,7 @@
 
 #include <atomic>
 
-#include "trace/trace.h"
+#include "trace/probe.h"
 #include "ult/scheduler.h"
 #include "util/check.h"
 
@@ -26,7 +26,7 @@ const char* to_string(State s) {
 Thread::Thread(Fn fn)
     : fn_(std::move(fn)),
       id_(g_next_id.fetch_add(1, std::memory_order_relaxed)) {
-  trace::emit(trace::Ev::kUltCreate, id_);
+  probe::emit(probe::Ev::kUltCreate, id_);
 }
 
 Thread::~Thread() {

@@ -47,6 +47,7 @@
 #include "trace/flight.h"
 #include "trace/hist.h"
 #include "trace/metrics.h"
+#include "trace/probe.h"
 #include "trace/trace.h"
 #include "util/rng.h"
 
@@ -56,6 +57,7 @@ namespace cv = mfc::converse;
 namespace hist = mfc::hist;
 namespace trace = mfc::trace;
 namespace flight = mfc::trace::flight;
+namespace probe = mfc::probe;
 using mfc::SplitMix64;
 using hist::Hist;
 
@@ -293,12 +295,12 @@ TEST(MetricsProvenance, MergeUnionsMasksAndCollapsesMixedProc) {
   EXPECT_EQ(c.procs, 1u << 1);
 
   // A live snapshot carries whatever set_proc declared.
-  metrics::set_proc(3, 4);
+  probe::set_proc(3, 4, 0, 0);
   const metrics::Snapshot live = metrics::snapshot();
   EXPECT_EQ(live.proc, 3);
   EXPECT_EQ(live.nprocs, 4);
   EXPECT_EQ(live.procs, std::uint64_t{1} << 3);
-  metrics::set_proc(0, 1);
+  probe::set_proc(0, 1, 0, 0);
 }
 
 // ---- Flight recorder --------------------------------------------------------
@@ -308,12 +310,12 @@ TEST(Flight, NoteDumpAndFirstTriggerWins) {
   std::remove("obs_flight_unit.json");
   flight::init(4);
   ASSERT_TRUE(flight::on());
-  flight::bind_pe(2);
+  probe::bind_pe(2);
   for (int r = 0; r < 3; ++r) {
-    flight::note(trace::Ev::kStormRound, static_cast<std::uint64_t>(r));
+    probe::emit(trace::Ev::kStormRound, static_cast<std::uint64_t>(r));
   }
-  flight::unbind_pe();
-  flight::note(trace::Ev::kFtKill, 0, 0, 0, 1);  // unbound → "other" track
+  probe::unbind_pe();
+  probe::emit(trace::Ev::kFtKill, 0, 0, 0, 1);  // unbound → "other" track
 
   EXPECT_FALSE(flight::dumped());
   EXPECT_TRUE(flight::dump("unit-test"));
@@ -336,7 +338,7 @@ TEST(Flight, DropOldestBoundsTheBlackBox) {
   std::remove("obs_flight_cap.json");
   flight::init(1, 8);
   for (int i = 0; i < 100; ++i) {
-    flight::note(trace::Ev::kStormRound, static_cast<std::uint64_t>(i));
+    probe::emit(trace::Ev::kStormRound, static_cast<std::uint64_t>(i));
   }
   ASSERT_TRUE(flight::dump("cap-test"));
   const std::string json = read_file("obs_flight_cap.json");
@@ -355,6 +357,145 @@ TEST(Flight, EnvGateDisablesRecorder) {
   EXPECT_TRUE(flight::on());
 }
 
+// ---- The probe's event table ---------------------------------------------
+
+TEST(Probe, OneEmitFeedsEverySinkItsTableEntryNames) {
+  namespace metrics = mfc::metrics;
+  using trace::Ev;
+  setenv("MFC_FLIGHT_FILE", "obs_probe_unit", 1);
+  std::remove("obs_probe_unit.json");
+  metrics::reset(2);
+  hist::reset(2);
+  hist::enable(true);
+  flight::init(2);
+  ASSERT_TRUE(trace::start(2, 64));
+
+  // Bound to PE 1: an isomalloc pack (technique tag 2) is flight-class,
+  // bumps the per-technique counter on its opening edge and records the
+  // pack histogram on its closing edge.
+  probe::bind_pe(1);
+  const std::uint64_t t0 = probe::emit(Ev::kMigratePackBegin, 7, 0, 0, -1, 2);
+  EXPECT_NE(t0, 0u) << "a histogram edge is stamped while stats are armed";
+  probe::emit(Ev::kMigratePackEnd, 7, 0, 64, -1, 2, t0);
+  EXPECT_EQ(metrics::pe_value(metrics::Counter::kPackIso, 1), 1u);
+  EXPECT_EQ(metrics::total(metrics::Counter::kPackIso), 1u);
+  EXPECT_EQ(metrics::total(metrics::Counter::kPackStackCopy), 0u);
+  const auto pack_samples = [](int slot) {
+    std::uint64_t n = 0;
+    for (const auto& b :
+         hist::detail::g_slots[slot].b[static_cast<int>(Hist::kMigratePack)]) {
+      n += b.load();
+    }
+    return n;
+  };
+  EXPECT_EQ(pack_samples(1), 1u);
+
+  // Unbound: the counter and histogram land in the shared slot only, the
+  // trace ring drops the event, the flight note goes to the "other" track.
+  probe::unbind_pe();
+  const std::uint64_t t1 = probe::emit(Ev::kMigratePackBegin, 8, 0, 0, -1, 2);
+  probe::emit(Ev::kMigratePackEnd, 8, 0, 64, -1, 2, t1);
+  EXPECT_EQ(metrics::pe_value(metrics::Counter::kPackIso, 1), 1u);
+  EXPECT_EQ(metrics::total(metrics::Counter::kPackIso), 2u);
+  EXPECT_EQ(pack_samples(1), 1u);
+  EXPECT_EQ(pack_samples(2), 1u);  // slot npes is the shared slot
+  hist::enable(false);
+
+  const trace::Summary sum = trace::stop();
+  EXPECT_EQ(sum.by_type[static_cast<int>(Ev::kMigratePackBegin)], 1u);
+  EXPECT_EQ(sum.by_type[static_cast<int>(Ev::kMigratePackEnd)], 1u);
+  EXPECT_EQ(sum.emitted, 2u);
+
+  ASSERT_TRUE(flight::dump("probe-unit"));
+  const std::string json = read_file("obs_probe_unit.json");
+  EXPECT_NE(json.find("\"records\":\"4\""), std::string::npos);
+  EXPECT_NE(json.find("\"PE 1\""), std::string::npos);
+  EXPECT_NE(json.find("\"other\""), std::string::npos);
+  std::remove("obs_probe_unit.json");
+  unsetenv("MFC_FLIGHT_FILE");
+  flight::init(1);  // re-arm the default recorder for later tests
+}
+
+/// Every counter the event table derives one-per-event must total exactly
+/// the emitted count of its event in a traced run: the table, not the
+/// call sites, decides what an occurrence feeds.
+void expect_counters_match_events(const trace::Summary& sum) {
+  namespace metrics = mfc::metrics;
+  for (int e = 0; e < trace::kEvCount; ++e) {
+    const trace::Ev ev = static_cast<trace::Ev>(e);
+    for (const probe::Tally& k : probe::info(ev).tally) {
+      if (k.counter == metrics::Counter::kCount) continue;
+      std::uint64_t total = 0;
+      if (k.by == probe::By::kOne) {
+        total = metrics::total(k.counter);
+      } else if (k.by == probe::By::kTechnique) {
+        for (int t = 0; t < 3; ++t) {
+          total += metrics::total(static_cast<metrics::Counter>(
+              static_cast<int>(k.counter) + t));
+        }
+      } else {
+        continue;  // bumped by a record field, not once per event
+      }
+      EXPECT_EQ(total, sum.by_type[e])
+          << trace::to_string(ev) << " vs "
+          << metrics::to_string(k.counter);
+    }
+  }
+}
+
+class ProbeStorm : public ::testing::TestWithParam<int> {};
+
+TEST_P(ProbeStorm, EventDerivedCountersEqualTracedEventCounts) {
+  mfc::chaos::StormOptions opt;
+  opt.transport = GetParam();
+  opt.seed = 40;
+  opt.npes = 4;
+  opt.workers = 9;
+  opt.rounds = 8;
+  opt.chaos.enabled = true;
+  opt.chaos.seed = 40;
+  opt.chaos.deterministic_sched = true;
+  opt.chaos.pool_fail = 0.05;
+  opt.chaos.delivery_delay = 0.15;
+  opt.chaos.max_delay_ticks = 6;
+  opt.trace = true;
+  opt.trace_file = "obs_probe_storm.json";
+  const mfc::chaos::StormReport r = mfc::chaos::run_storm(opt);
+  std::remove("obs_probe_storm.json");
+  EXPECT_TRUE(r.clean());
+  ASSERT_TRUE(r.traced);
+  const trace::Summary& sum = trace::last_summary();
+  EXPECT_GT(sum.by_type[static_cast<int>(trace::Ev::kChaosInject)], 0u);
+  EXPECT_GT(sum.by_type[static_cast<int>(trace::Ev::kMigratePackBegin)], 0u);
+  expect_counters_match_events(sum);
+}
+
+// In-process and shm loopback (the wire's deliver/rendezvous counters).
+INSTANTIATE_TEST_SUITE_P(Wires, ProbeStorm, ::testing::Values(0, 1));
+
+TEST(Probe, FtKillStormCountersEqualTracedEventCounts) {
+  mfc::chaos::StormOptions opt;
+  opt.seed = 17;
+  opt.npes = 4;
+  opt.workers = 6;
+  opt.rounds = 8;
+  opt.chaos.seed = 17;
+  opt.ft_checkpoint_every = 2;
+  opt.ft_kill_every = 2;
+  opt.ft_ping_interval_us = 1000;
+  opt.ft_timeout_us = 200000;
+  opt.trace = true;
+  opt.trace_file = "obs_probe_ft.json";
+  const mfc::chaos::StormReport r = mfc::chaos::run_storm(opt);
+  std::remove("obs_probe_ft.json");
+  EXPECT_TRUE(r.clean());
+  ASSERT_TRUE(r.traced);
+  const trace::Summary& sum = trace::last_summary();
+  EXPECT_GT(sum.by_type[static_cast<int>(trace::Ev::kFtKill)], 0u);
+  EXPECT_GT(sum.by_type[static_cast<int>(trace::Ev::kFtCheckpointEnd)], 0u);
+  expect_counters_match_events(sum);
+}
+
 // ---- Trace parts and the clock-aligned merge -------------------------------
 
 TEST(TraceParts, TwoPartMergeAlignsFlowsAndIsDeterministic) {
@@ -367,12 +508,12 @@ TEST(TraceParts, TwoPartMergeAlignsFlowsAndIsDeterministic) {
   // "Process 0": PEs 0-1 of a 4-PE machine. A send with flow id 0x77
   // starts the cross-process arrow.
   ASSERT_TRUE(trace::start(4));
-  trace::set_proc(0, 2, 0, 2);
+  probe::set_proc(0, 2, 0, 2);
   trace::set_meta("obs", "part-unit");
-  trace::bind_pe(0);
-  trace::emit(trace::Ev::kStormRound, 0);
-  trace::emit(trace::Ev::kMsgSend, 0x77, 1, 64, 2);
-  trace::unbind_pe();
+  probe::bind_pe(0);
+  probe::emit(trace::Ev::kStormRound, 0);
+  probe::emit(trace::Ev::kMsgSend, 0x77, 1, 64, 2);
+  probe::unbind_pe();
   bool ok = false;
   trace::stop_and_export_part(p0, &ok);
   ASSERT_TRUE(ok);
@@ -380,12 +521,12 @@ TEST(TraceParts, TwoPartMergeAlignsFlowsAndIsDeterministic) {
   // "Process 1": PEs 2-3, dispatching the same flow. A deliberate skew
   // estimate exercises the merge's clock alignment.
   ASSERT_TRUE(trace::start(4));
-  trace::set_proc(1, 2, 2, 2);
+  probe::set_proc(1, 2, 2, 2);
   trace::set_clock_skew(1000);
-  trace::bind_pe(2);
-  trace::emit(trace::Ev::kHandlerBegin, 0x77, 1, 64, 0);
-  trace::emit(trace::Ev::kHandlerEnd, 0, 1);
-  trace::unbind_pe();
+  probe::bind_pe(2);
+  probe::emit(trace::Ev::kHandlerBegin, 0x77, 1, 64, 0);
+  probe::emit(trace::Ev::kHandlerEnd, 0, 1);
+  probe::unbind_pe();
   ok = false;
   trace::stop_and_export_part(p1, &ok);
   ASSERT_TRUE(ok);
@@ -406,6 +547,7 @@ TEST(TraceParts, TwoPartMergeAlignsFlowsAndIsDeterministic) {
   // Deterministic merge: same parts, byte-identical output.
   ASSERT_TRUE(trace::merge_parts({p0, p1}, out2, &err)) << err;
   EXPECT_EQ(read_file(out1), read_file(out2));
+  probe::set_proc(0, 1, 0, 0);
 
   for (const auto& f : {p0, p1, out1, out2}) std::remove(f.c_str());
 }

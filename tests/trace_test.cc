@@ -19,6 +19,7 @@
 
 #include "converse/machine.h"
 #include "trace/metrics.h"
+#include "trace/probe.h"
 #include "trace/ring.h"
 
 namespace {
@@ -26,6 +27,7 @@ namespace {
 namespace cv = mfc::converse;
 namespace trace = mfc::trace;
 namespace metrics = mfc::metrics;
+namespace probe = mfc::probe;
 using trace::Ev;
 
 // ---- Minimal JSON DOM + recursive-descent parser ----------------------------
@@ -283,11 +285,11 @@ TEST(Metrics, BoundAndUnboundBumpsMergeIntoTotals) {
   metrics::reset(2);
   EXPECT_EQ(metrics::npes(), 2);
 
-  metrics::bind_pe(0);
+  probe::bind_pe(0);
   metrics::bump(metrics::Counter::kMsgsSent, 3);
-  metrics::bind_pe(1);
+  probe::bind_pe(1);
   metrics::bump(metrics::Counter::kMsgsSent, 4);
-  metrics::unbind_pe();
+  probe::unbind_pe();
   // Unbound writers land on the shared slot: counted in total(), invisible
   // to any pe_value().
   metrics::bump(metrics::Counter::kMsgsSent, 10);
@@ -303,13 +305,13 @@ TEST(Metrics, BoundAndUnboundBumpsMergeIntoTotals) {
 
 TEST(Metrics, SnapshotDiffAndMerge) {
   metrics::reset(1);
-  metrics::bind_pe(0);
+  probe::bind_pe(0);
   metrics::bump(metrics::Counter::kPackIso, 5);
   const metrics::Snapshot before = metrics::snapshot();
   metrics::bump(metrics::Counter::kPackIso, 2);
   metrics::bump(metrics::Counter::kUnpackIso, 1);
   const metrics::Snapshot after = metrics::snapshot();
-  metrics::unbind_pe();
+  probe::unbind_pe();
 
   const metrics::Snapshot delta = after.diff(before);
   EXPECT_EQ(delta[metrics::Counter::kPackIso], 2u);
@@ -327,7 +329,7 @@ TEST(Metrics, SnapshotDiffAndMerge) {
 
 TEST(TraceSession, OffByDefaultAndEmitsAreDropped) {
   EXPECT_FALSE(trace::enabled());
-  trace::emit(Ev::kUltCreate, 1);  // must be a no-op, not a crash
+  probe::emit(Ev::kUltCreate, 1);  // must be a no-op, not a crash
   EXPECT_FALSE(trace::active());
 }
 
@@ -336,13 +338,13 @@ TEST(TraceSession, StartStopCountsPerTypeAndBinding) {
   EXPECT_TRUE(trace::enabled());
   EXPECT_FALSE(trace::start(2)) << "second session must be refused";
 
-  trace::emit(Ev::kUltCreate, 7);  // unbound: dropped silently
-  trace::bind_pe(0);
-  trace::emit(Ev::kUltCreate, 8);
-  trace::emit(Ev::kMsgSend, 0, 3, 64, 1);
-  trace::bind_pe(1);
-  trace::emit(Ev::kUltCreate, 9);
-  trace::unbind_pe();
+  probe::emit(Ev::kUltCreate, 7);  // unbound: dropped silently
+  probe::bind_pe(0);
+  probe::emit(Ev::kUltCreate, 8);
+  probe::emit(Ev::kMsgSend, 0, 3, 64, 1);
+  probe::bind_pe(1);
+  probe::emit(Ev::kUltCreate, 9);
+  probe::unbind_pe();
 
   const trace::Summary s = trace::stop();
   EXPECT_FALSE(trace::enabled());
@@ -356,11 +358,11 @@ TEST(TraceSession, StartStopCountsPerTypeAndBinding) {
 
 TEST(TraceSession, DigestSelectsEventSubset) {
   ASSERT_TRUE(trace::start(1, 64));
-  trace::bind_pe(0);
-  trace::emit(Ev::kUltCreate, 1);
-  trace::emit(Ev::kUltCreate, 2);
-  trace::emit(Ev::kMsgSend, 0, 1, 8, 0);
-  trace::unbind_pe();
+  probe::bind_pe(0);
+  probe::emit(Ev::kUltCreate, 1);
+  probe::emit(Ev::kUltCreate, 2);
+  probe::emit(Ev::kMsgSend, 0, 1, 8, 0);
+  probe::unbind_pe();
   const trace::Summary s = trace::stop();
 
   const std::uint64_t d1 = s.digest({Ev::kUltCreate});
