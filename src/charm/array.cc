@@ -13,8 +13,12 @@ namespace mfc::charm {
 // Friend shim giving the (anonymous-namespace) handler lambdas access to the
 // private protocol methods.
 struct ArrayHandlers {
-  static void route(ArrayBase& a, int index, int tag, std::vector<char> p) {
-    a.handle_route(index, tag, std::move(p));
+  static void route(ArrayBase& a, int index, int tag, int origin, int hops,
+                    std::vector<char> p) {
+    a.handle_route(index, tag, origin, hops, std::move(p));
+  }
+  static void locate(ArrayBase& a, int index, int pe, std::uint32_t epoch) {
+    a.handle_locate(index, pe, epoch);
   }
   static void departed(ArrayBase& a, int index, std::uint32_t epoch) {
     a.handle_departed(index, epoch);
@@ -35,10 +39,17 @@ namespace {
 
 thread_local std::unordered_map<int, ArrayBase*> t_arrays;
 
+// `origin` is the sending PE; `hops` counts the forwards so far.
 struct RouteMsg {
-  int array_id = 0, index = 0, tag = 0;
+  int array_id = 0, index = 0, tag = 0, origin = 0, hops = 0;
   std::vector<char> inner;
-  void pup(pup::Er& p) { p | array_id | index | tag | inner; }
+  void pup(pup::Er& p) { p | array_id | index | tag | origin | hops | inner; }
+};
+// Tells a message's origin where the element was found, and at which hop.
+struct LocateMsg {
+  int array_id = 0, index = 0, pe = 0;
+  std::uint32_t epoch = 0;
+  void pup(pup::Er& p) { p | array_id | index | pe | epoch; }
 };
 struct DepartMsg {
   int array_id = 0, index = 0;
@@ -62,7 +73,8 @@ struct ContribMsg {
   void pup(pup::Er& p) { p | array_id | reduction_id | value; }
 };
 
-converse::HandlerId h_route, h_departed, h_arrive, h_settled, h_contribute;
+converse::HandlerId h_route, h_locate, h_departed, h_arrive, h_settled,
+    h_contribute;
 
 ArrayBase& array_for(int id) {
   auto it = t_arrays.find(id);
@@ -76,7 +88,12 @@ void register_array_handlers() {
     h_route = converse::register_handler([](converse::Message&& m) {
       auto msg = m.as<RouteMsg>();
       ArrayHandlers::route(array_for(msg.array_id), msg.index, msg.tag,
-                           std::move(msg.inner));
+                           msg.origin, msg.hops, std::move(msg.inner));
+    });
+    h_locate = converse::register_handler([](converse::Message&& m) {
+      auto msg = m.as<LocateMsg>();
+      ArrayHandlers::locate(array_for(msg.array_id), msg.index, msg.pe,
+                            msg.epoch);
     });
     h_departed = converse::register_handler([](converse::Message&& m) {
       auto msg = m.as<DepartMsg>();
@@ -111,11 +128,16 @@ std::uint64_t elem_flow_id(int array_id, int index, std::uint32_t epoch) {
 }
 
 // Deferred self-migration: an element that calls migrate() on itself from
-// inside on_message is moved after the method returns.
+// inside on_message is moved after the method returns. The request belongs
+// to the running method, so a delivery nested inside it (an inline
+// self-send to another resident element) keeps its own.
 thread_local int t_running_index = -1;
 thread_local int t_running_array = -1;
-thread_local bool t_pending_migration = false;
-thread_local int t_pending_dest = -1;
+thread_local int t_pending_dest = -1;  ///< -1: no self-migration requested
+
+// Ev::kElemReroute's `c`: which routing counter the step moves.
+constexpr std::uint8_t kRerouteForward = 1;
+constexpr std::uint8_t kRerouteLocate = 2;
 
 }  // namespace
 
@@ -125,7 +147,10 @@ ArrayBase* find_array(int id) {
 }
 
 ArrayBase::ArrayBase(int id, int count, ElementFactory factory)
-    : id_(id), count_(count), factory_(std::move(factory)) {
+    : id_(id),
+      count_(count),
+      factory_(std::move(factory)),
+      hints_(static_cast<std::size_t>(count)) {
   register_array_handlers();
   MFC_CHECK_MSG(!t_arrays.contains(id_), "array id already in use on this PE");
   t_arrays[id_] = this;
@@ -136,6 +161,7 @@ ArrayBase::ArrayBase(int id, int count, ElementFactory factory)
     if (index % npes != me) continue;
     // Initial placement: every element is born on its home PE.
     home_[index] = HomeEntry{me, 0, 0, {}};
+    hints_[index] = Hint{me, 0};
     auto elem = factory_(index);
     elem->index_ = index;
     elem->array_id_ = id_;
@@ -151,8 +177,10 @@ int ArrayBase::home_pe(int index) const {
 }
 
 void ArrayBase::send(int index, int tag, std::vector<char> payload) {
-  RouteMsg msg{id_, index, tag, std::move(payload)};
-  converse::send_value(home_pe(index), h_route, msg);
+  const int home = home_pe(index);
+  const int hinted = hints_[index].pe;
+  RouteMsg msg{id_, index, tag, converse::my_pe(), 0, std::move(payload)};
+  converse::send_value(hinted >= 0 ? hinted : home, h_route, msg);
 }
 
 void ArrayBase::broadcast(int tag, const std::vector<char>& payload) {
@@ -166,51 +194,73 @@ void ArrayBase::deliver_local(int index, int tag, std::vector<char> payload) {
 
   const int prev_index = t_running_index;
   const int prev_array = t_running_array;
+  const int prev_dest = t_pending_dest;
   t_running_index = index;
   t_running_array = id_;
+  t_pending_dest = -1;
   const double start = wall_time();
   elem->on_message(tag, std::move(payload));
   elem->load_ += wall_time() - start;
+  const int dest = t_pending_dest;
   t_running_index = prev_index;
   t_running_array = prev_array;
+  t_pending_dest = prev_dest;
 
-  if (t_pending_migration) {
-    t_pending_migration = false;
-    const int dest = t_pending_dest;
-    migrate(index, dest);
-  }
+  if (dest >= 0) migrate(index, dest);
 }
 
-void ArrayBase::handle_route(int index, int tag, std::vector<char> payload) {
-  if (local_.contains(index)) {
+void ArrayBase::handle_route(int index, int tag, int origin, int hops,
+                             std::vector<char> payload) {
+  const int me = converse::my_pe();
+  if (auto it = local_.find(index); it != local_.end()) {
+    if (hops > 0 && origin != me) {
+      // The origin's hint sent this astray: tell it where the element is.
+      probe::emit(probe::Ev::kElemReroute, static_cast<std::uint64_t>(hops),
+                  static_cast<std::uint32_t>(index), 0,
+                  static_cast<std::int16_t>(origin), kRerouteLocate);
+      LocateMsg locate{id_, index, me, it->second->hop_epoch_};
+      converse::send_value(origin, h_locate, locate);
+    }
     deliver_local(index, tag, std::move(payload));
     return;
   }
-  const int me = converse::my_pe();
-  if (home_pe(index) == me) {
-    HomeEntry& entry = home_.at(index);
-    RouteMsg msg{id_, index, tag, std::move(payload)};
-    if (entry.depart_epoch > entry.settle_epoch) {
-      // Buffer until the element settles at its destination.
-      converse::Message buffered;
-      buffered.handler = h_route;
-      buffered.payload.adopt(pup::to_bytes(msg));
-      entry.buffered.push_back(std::move(buffered));
-    } else {
-      converse::send_value(entry.location, h_route, msg);
-    }
+  RouteMsg msg{id_, index, tag, origin, hops + 1, std::move(payload)};
+  const int home = home_pe(index);
+  int next = home;  // -1: buffered at the home until the element settles
+  if (home == me) {
+    const HomeEntry& entry = home_.at(index);
+    next = entry.depart_epoch > entry.settle_epoch ? -1 : entry.location;
+  } else if (const Hint& hint = hints_[index];
+             hops == 0 && hint.pe >= 0 && hint.pe != me) {
+    // Stale delivery on the first hop: follow this PE's departure hint.
+    // Later hops bounce through the home, so hint chasing stays bounded.
+    next = hint.pe;
+  }
+  probe::emit(probe::Ev::kElemReroute, static_cast<std::uint64_t>(hops),
+              static_cast<std::uint32_t>(index), 0,
+              static_cast<std::int16_t>(next), kRerouteForward);
+  if (next >= 0) {
+    converse::send_value(next, h_route, msg);
     return;
   }
-  // Stale delivery (element moved on): bounce through the home.
-  RouteMsg msg{id_, index, tag, std::move(payload)};
-  converse::send_value(home_pe(index), h_route, msg);
+  converse::Message buffered;
+  buffered.handler = h_route;
+  buffered.payload.adopt(pup::to_bytes(msg));
+  home_.at(index).buffered.push_back(std::move(buffered));
+}
+
+void ArrayBase::handle_locate(int index, int pe, std::uint32_t epoch) {
+  // Locates for different hops race; the newest placement wins. A local
+  // element's own hint is exact and never yields to a report.
+  if (local_.contains(index)) return;
+  Hint& hint = hints_[index];
+  if (hint.pe < 0 || epoch > hint.epoch) hint = Hint{pe, epoch};
 }
 
 void ArrayBase::migrate(int index, int dest_pe) {
   MFC_CHECK(dest_pe >= 0 && dest_pe < converse::num_pes());
   if (t_running_index == index && t_running_array == id_) {
     // Self-migration from inside on_message: defer until the method returns.
-    t_pending_migration = true;
     t_pending_dest = dest_pe;
     return;
   }
@@ -221,6 +271,7 @@ void ArrayBase::migrate(int index, int dest_pe) {
   const std::uint32_t epoch = it->second->hop_epoch_ + 1;
   ArriveMsg arrive{id_, index, epoch, pup::to_bytes(*it->second)};
   local_.erase(it);
+  hints_[index] = Hint{dest_pe, epoch};
   probe::emit(probe::Ev::kElemDepart, elem_flow_id(id_, index, epoch),
               static_cast<std::uint32_t>(index),
               static_cast<std::uint32_t>(arrive.state.size()),
@@ -250,6 +301,7 @@ void ArrayBase::handle_arrive(int index, std::uint32_t epoch,
   elem->array_id_ = id_;
   elem->hop_epoch_ = epoch;
   local_[index] = std::move(elem);
+  hints_[index] = Hint{converse::my_pe(), epoch};
   SettleMsg settle{id_, index, converse::my_pe(), epoch};
   converse::send_value(home_pe(index), h_settled, settle);
 }
@@ -263,9 +315,12 @@ void ArrayBase::handle_settled(int index, int pe, std::uint32_t epoch) {
     entry.location = pe;
   }
   if (entry.settle_epoch >= entry.depart_epoch) {
-    for (auto& m : entry.buffered)
-      converse::send(entry.location, h_route, m.payload.take());
+    // Detach the buffer first: a send to this PE may be dispatched inline
+    // and move the element again, and that re-buffers what follows.
+    std::vector<converse::Message> flush = std::move(entry.buffered);
     entry.buffered.clear();
+    for (auto& m : flush)
+      converse::send(entry.location, h_route, m.payload.take());
   }
 }
 
@@ -345,6 +400,7 @@ std::vector<char> ArrayBase::checkpoint_local() const {
 void ArrayBase::wipe_local() {
   local_.clear();
   home_.clear();
+  std::fill(hints_.begin(), hints_.end(), Hint{});
 }
 
 void ArrayBase::restore_local(const std::vector<char>& bytes) {
@@ -352,6 +408,7 @@ void ArrayBase::restore_local(const std::vector<char>& bytes) {
   SliceCkpt s;
   pup::from_bytes(bytes, s);
   for (ElemCkpt& e : s.elems) {
+    MFC_CHECK(e.index >= 0 && e.index < count_);
     auto elem = factory_(e.index);
     pup::MemUnpacker u(e.state.data(), e.state.size());
     elem->pup(u);
@@ -360,6 +417,7 @@ void ArrayBase::restore_local(const std::vector<char>& bytes) {
     elem->hop_epoch_ = e.hop_epoch;
     elem->load_ = e.load;
     local_[e.index] = std::move(elem);
+    hints_[e.index] = Hint{converse::my_pe(), e.hop_epoch};
   }
   for (const HomeCkpt& h : s.homes) {
     home_[h.index] = HomeEntry{h.location, h.depart_epoch, h.settle_epoch, {}};

@@ -7,10 +7,14 @@
 // execution state between events is its member data — which is why migrating
 // one "need only copy these data structures to a new processor" (§3.2).
 //
-// Location management: element index → home PE (index % npes). Every
-// message routes through the home, which always knows the element's true
-// location; during a migration the home buffers traffic between the
-// "departed" and "settled" phases, so no message is ever lost or looped.
+// Location management: element index → home PE (index % npes). The home
+// always knows the element's true location; during a migration it buffers
+// traffic between the "departed" and "settled" phases, so no message is
+// ever lost or looped. Every PE also keeps a location hint per element (its
+// last known PE, stamped with the hop epoch that put it there): a send goes
+// straight to the hinted PE and falls back to the home only when the hint
+// is unknown. A message delivered after one or more hops tells its origin
+// where the element is, so a sender pays the extra hops once per move.
 #pragma once
 
 #include <cstdint>
@@ -113,8 +117,9 @@ class ArrayBase {
   /// elements and entries are emitted in sorted index order.
   std::vector<char> checkpoint_local() const;
 
-  /// Drops every local element and home entry. A revived PE wipes its
-  /// stale post-death state with this before the rollback restore.
+  /// Drops every local element, home entry and location hint. A revived
+  /// PE wipes its stale post-death state with this before the rollback
+  /// restore.
   void wipe_local();
 
   /// Rebuilds the slice captured by checkpoint_local() on this PE
@@ -126,7 +131,9 @@ class ArrayBase {
   friend struct ArrayHandlers;
 
   void deliver_local(int index, int tag, std::vector<char> payload);
-  void handle_route(int index, int tag, std::vector<char> payload);
+  void handle_route(int index, int tag, int origin, int hops,
+                    std::vector<char> payload);
+  void handle_locate(int index, int pe, std::uint32_t epoch);
   void handle_departed(int index, std::uint32_t epoch);
   void handle_arrive(int index, std::uint32_t epoch,
                      const std::vector<char>& state);
@@ -152,6 +159,17 @@ class ArrayBase {
     std::vector<converse::Message> buffered;
   };
   std::unordered_map<int, HomeEntry> home_;
+
+  // Per-element location hints (every PE, every index): where this PE last
+  // knew the element to be, and the hop epoch of that placement; pe = -1
+  // when unknown. A local element's hint is this PE and a departed one's is
+  // its destination. Hints only pick a message's first hop — the home stays
+  // authoritative — so they are never checkpointed.
+  struct Hint {
+    int pe = -1;
+    std::uint32_t epoch = 0;
+  };
+  std::vector<Hint> hints_;
 
   // PE0-role reduction state.
   struct Reduction {

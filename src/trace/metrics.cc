@@ -29,6 +29,8 @@ const char* to_string(Counter c) {
     case Counter::kUnpackIso: return "unpack-iso";
     case Counter::kUnpackMemAlias: return "unpack-memalias";
     case Counter::kElemMigrations: return "elem-migrations";
+    case Counter::kElemForwards: return "elem-forwards";
+    case Counter::kElemLocates: return "elem-locates";
     case Counter::kLbMigrations: return "lb-migrations";
     case Counter::kChaosInjections: return "chaos-injections";
     case Counter::kFtSent: return "ft-sent";

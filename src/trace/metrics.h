@@ -38,6 +38,8 @@ enum class Counter : int {
   kUnpackMemAlias,
   // Higher layers.
   kElemMigrations,  ///< chare-array element departures
+  kElemForwards,    ///< element-message hops that did not deliver
+  kElemLocates,     ///< location updates sent to a misrouted message's origin
   kLbMigrations,    ///< migrations ordered by the LB strategy
   kChaosInjections,
   // Fault tolerance (ft layer). Sent/delivered mirror the QD pair: FT

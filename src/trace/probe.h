@@ -43,14 +43,16 @@ using trace::Ev;
 using metrics::Counter;
 using hist::Hist;
 
-/// How an event moves a counter: by one, by one on the per-technique
-/// counter `counter + c - 1` (c is the trace technique tag, 1..3), or by
-/// the value of the record's `a`, `size` or `c` field.
-enum class By : std::uint8_t { kOne, kTechnique, kA, kSize, kC };
+/// How an event moves a counter: by one, by one on counter
+/// `counter + c - 1` (c in 1..picks chooses among `picks` consecutive
+/// counters: the technique tag of a pack, the step of an element reroute),
+/// or by the value of the record's `a`, `size` or `c` field.
+enum class By : std::uint8_t { kOne, kPick, kA, kSize, kC };
 
 struct Tally {
   Counter counter = Counter::kCount;  ///< kCount: no counter
   By by = By::kOne;
+  std::uint8_t picks = 1;  ///< By::kPick: consecutive counters from `counter`
 };
 
 /// What one event feeds besides the trace ring.
@@ -79,19 +81,21 @@ constexpr EvInfo info(Ev ev) {
     case Ev::kWireAsmEnd:
       return {.closes = true};
     case Ev::kMigratePackBegin:
-      return {.tally = {{Counter::kPackStackCopy, By::kTechnique}},
+      return {.tally = {{Counter::kPackStackCopy, By::kPick, 3}},
               .edge = true, .flight = true};
     case Ev::kMigratePackEnd:
       return {.hist = Hist::kMigratePack, .edge = true, .closes = true,
               .flight = true};
     case Ev::kMigrateUnpackBegin:
-      return {.tally = {{Counter::kUnpackStackCopy, By::kTechnique}},
+      return {.tally = {{Counter::kUnpackStackCopy, By::kPick, 3}},
               .edge = true, .flight = true};
     case Ev::kMigrateUnpackEnd:
       return {.hist = Hist::kMigrateUnpack, .edge = true, .closes = true,
               .flight = true};
     case Ev::kElemDepart:
       return {.tally = {{Counter::kElemMigrations}}, .flight = true};
+    case Ev::kElemReroute:  // c = 1 forwarded, 2 locate update sent
+      return {.tally = {{Counter::kElemForwards, By::kPick, 2}}};
     case Ev::kLbDecision:  // a = migrations ordered
       return {.tally = {{Counter::kLbMigrations, By::kA}}, .flight = true};
     case Ev::kChaosInject:
@@ -172,7 +176,7 @@ inline void count(const Tally& k, std::uint32_t a, std::uint32_t size,
   std::uint64_t n = 1;
   switch (k.by) {
     case By::kOne: break;
-    case By::kTechnique: idx += c - 1; n = c != 0; break;
+    case By::kPick: idx += c - 1; n = c != 0; break;
     case By::kA: n = a; break;
     case By::kSize: n = size; break;
     case By::kC: n = c; break;

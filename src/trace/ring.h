@@ -52,6 +52,9 @@ enum class Ev : std::uint8_t {
   kWireRdvDone,         ///< rendezvous payload written span-direct (size=bytes)
   kFtProcDown,          ///< whole process declared dead (a=proc, b=first pe)
   kFtProcRespawn,       ///< dead process respawned (a=proc, arg=generation)
+  kElemReroute,         ///< element message not delivered directly (a=index,
+                        ///< arg=hops; c=1 forwarded to b, or buffered at the
+                        ///< home when b=-1; c=2 locate sent to origin b)
   kCount,
 };
 constexpr int kEvCount = static_cast<int>(Ev::kCount);

@@ -306,6 +306,16 @@ void export_records(JsonWriter& w, const Record* recs, std::size_t n,
         }
         break;
       }
+      case Ev::kElemReroute:
+        w.event(r.c == 2 ? "elem-locate" : "elem-forward", 'i', tid, ns);
+        w.raw("s", "\"t\"");
+        w.args_begin();
+        w.arg_num("index", r.a, true);
+        w.arg_num("hops", static_cast<long long>(r.arg));
+        if (r.b >= 0) w.arg_num("peer", r.b);
+        w.args_end();
+        w.done();
+        break;
       case Ev::kUltCreate:
       case Ev::kUltSuspend:
       case Ev::kUltResume: {
@@ -761,6 +771,7 @@ const char* to_string(Ev ev) {
     case Ev::kWireRdvDone: return "wire-rdv-done";
     case Ev::kFtProcDown: return "ft-proc-down";
     case Ev::kFtProcRespawn: return "ft-proc-respawn";
+    case Ev::kElemReroute: return "elem-reroute";
     case Ev::kCount: break;
   }
   return "?";

@@ -130,7 +130,9 @@ TEST(CharmLb, RepeatedEpisodes) {
       if (pe == 0) {
         for (int i = 0; i < 6; ++i) arr.send_value(i, 0, episode);
       }
-      for (int i = 0; i < 4; ++i) cv::barrier();
+      // Sends to elements the last episode moved may still be chasing
+      // them through an old PE or the home; barriers do not wait for that.
+      cv::wait_quiescence();
       rebalance(arr, mfc::lb::greedy_lb);
     }
     // All elements alive and all messages processed.

@@ -80,12 +80,16 @@ TEST_P(ChareChaos, SumsSurviveRandomMigrationStorm) {
         }
       }
     }
-    for (int i = 0; i < 8; ++i) cv::barrier();  // drain the storm
+    // Drain the storm before the reductions start. A barrier only orders
+    // the barrier messages: an add still chasing a moving element (through
+    // a stale hint or the home) could land after its element contributed.
+    // Quiescence waits until every message sent anywhere was delivered.
+    cv::wait_quiescence();
     if (pe == 0) {
       int red_id = 7;
       arr.broadcast(Accum::kContribute, mfc::pup::to_bytes(red_id));
     }
-    for (int i = 0; i < 8; ++i) cv::barrier();
+    cv::wait_quiescence();
   });
   EXPECT_EQ(static_cast<long>(reduced.load()), expected.load());
 }

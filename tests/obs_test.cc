@@ -428,8 +428,8 @@ void expect_counters_match_events(const trace::Summary& sum) {
       std::uint64_t total = 0;
       if (k.by == probe::By::kOne) {
         total = metrics::total(k.counter);
-      } else if (k.by == probe::By::kTechnique) {
-        for (int t = 0; t < 3; ++t) {
+      } else if (k.by == probe::By::kPick) {
+        for (int t = 0; t < k.picks; ++t) {
           total += metrics::total(static_cast<metrics::Counter>(
               static_cast<int>(k.counter) + t));
         }
