@@ -1,11 +1,13 @@
 #include "ampi/ampi.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <deque>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 
+#include "iso/heap.h"
 #include "migrate/iso_thread.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -14,19 +16,21 @@ namespace mfc::ampi {
 
 namespace {
 
+using converse::Message;
+
 // ---- Wire formats ----------------------------------------------------------
 
-struct P2P {
-  std::int32_t src = -1, dest = -1, tag = 0;
-  std::vector<char> bytes;
-  void pup(pup::Er& p) { p | src | dest | tag | bytes; }
+/// A point-to-point message is this header plus the user bytes, packed
+/// straight into the pooled envelope and read in place on arrival.
+struct P2PHeader {
+  std::int32_t src, dest, tag;
 };
 
-struct Unexpected {
-  std::int32_t src = -1, tag = 0;
-  std::vector<char> bytes;
-  void pup(pup::Er& p) { p | src | tag | bytes; }
-};
+P2PHeader header_of(const Message& m) {
+  P2PHeader h;
+  std::memcpy(&h, m.payload.data(), sizeof h);
+  return h;
+}
 
 struct MoveMsg {
   std::int32_t rank = -1;
@@ -34,13 +38,13 @@ struct MoveMsg {
 };
 
 /// Everything a rank is: its thread image (stack + heap slots) plus the
-/// runtime bookkeeping that must follow it (buffered unexpected messages and
+/// runtime bookkeeping that must follow it (unexpected envelope payloads and
 /// the rank→PE directory for the destination).
 struct RankImage {
   std::int32_t rank = -1;
   std::uint64_t coll_seq = 0;  ///< collective tag counter must keep counting
   std::vector<int> mapping;
-  std::vector<Unexpected> unexpected;
+  std::vector<converse::Payload> unexpected;
   migrate::ThreadImage thread;
   void pup(pup::Er& p) { p | rank | coll_seq | mapping | unexpected | thread; }
 };
@@ -48,30 +52,33 @@ struct RankImage {
 // ---- Runtime state ----------------------------------------------------------
 
 struct PostedRecv {
-  void* buf = nullptr;
-  std::size_t max_bytes = 0;
-  int src = kAnySource;
-  int tag = kAnyTag;
+  void* buf;
+  std::size_t max_bytes;
+  int src, tag;
   Request req;
 };
 
+/// Runtime-owned: grows only in handler context or under SystemHeapScope.
 struct RankState {
   int rank = -1;
   migrate::IsoThread* thread = nullptr;
-  std::deque<Unexpected> unexpected;
-  std::deque<PostedRecv> posted;
+  std::vector<Message*> unexpected;  ///< retained envelopes
+  std::vector<PostedRecv> posted;
   ult::Thread* blocked = nullptr;  ///< thread parked in block_until
   std::uint64_t coll_seq = 0;      ///< collective-call sequence number
   int pending_dest = -1;           ///< set while a directed move is queued
+  ~RankState() {
+    for (Message* m : unexpected) converse::detail::release_message(m);
+  }
 };
 
 struct PeState {
   std::unordered_map<int, std::unique_ptr<RankState>> ranks;
   std::unordered_map<const ult::Thread*, RankState*> by_thread;
   std::vector<int> rank_to_pe;  ///< this PE's view of the rank directory
-  /// Messages for ranks this directory says live here but have not yet
+  /// Envelopes for ranks this directory says live here but have not yet
   /// arrived (migration transit window).
-  std::unordered_map<int, std::vector<P2P>> held;
+  std::unordered_map<int, std::vector<Message*>> held;
   ult::Thread* main_thread = nullptr;
   bool all_done = false;
 };
@@ -87,35 +94,43 @@ thread_local PeState* t_state = nullptr;
 
 converse::HandlerId h_p2p, h_move, h_rank_arrive, h_all_done;
 
+/// Eager buffered sends complete at once; every isend shares this request.
+ReqState g_send_done{true, {}};
+
 // ---- Matching ----------------------------------------------------------------
 
-bool source_matches(int want, int got) {
-  return want == kAnySource || want == got;
-}
-bool tag_matches(int want, int got) { return want == kAnyTag || got == want; }
-
-void complete_recv(PostedRecv& pr, int src, int tag, std::vector<char> bytes) {
-  MFC_CHECK_MSG(bytes.size() <= pr.max_bytes,
-                "ampi: message longer than receive buffer");
-  std::memcpy(pr.buf, bytes.data(), bytes.size());
-  pr.req->status = Status{src, tag, bytes.size()};
-  pr.req->done = true;
+/// kAnyTag matches user tags only, never a collective's internal one.
+bool matches(int src, int tag, const P2PHeader& h) {
+  return (src == kAnySource || src == h.src) &&
+         (tag == kAnyTag ? h.tag >= 0 : tag == h.tag);
 }
 
-void deliver_local(RankState& rs, P2P&& msg) {
+/// The receive side's one copy: envelope payload into the posted buffer.
+void copy_out(const Message& m, void* buf, std::size_t max_bytes,
+              ReqState& req) {
+  const P2PHeader h = header_of(m);
+  const std::size_t n = m.payload.size() - sizeof h;
+  MFC_CHECK_MSG(n <= max_bytes, "ampi: message longer than receive buffer");
+  if (n != 0) std::memcpy(buf, m.payload.data() + sizeof h, n);
+  req.status = Status{h.src, h.tag, n};
+  req.done = true;
+}
+
+/// Completes the first posted receive that matches `m` and wakes the rank;
+/// false when none does (the caller keeps the envelope as unexpected).
+bool match_posted(RankState& rs, const Message& m) {
+  const P2PHeader h = header_of(m);
   for (auto it = rs.posted.begin(); it != rs.posted.end(); ++it) {
-    if (source_matches(it->src, msg.src) && tag_matches(it->tag, msg.tag)) {
-      complete_recv(*it, msg.src, msg.tag, std::move(msg.bytes));
+    if (matches(it->src, it->tag, h)) {
+      copy_out(m, it->buf, it->max_bytes, *it->req);
       rs.posted.erase(it);
-      if (rs.blocked != nullptr) {
-        ult::Thread* t = rs.blocked;
-        rs.blocked = nullptr;
+      if (ult::Thread* t = std::exchange(rs.blocked, nullptr)) {
         converse::ready_thread(t);
       }
-      return;
+      return true;
     }
   }
-  rs.unexpected.push_back(Unexpected{msg.src, msg.tag, std::move(msg.bytes)});
+  return false;
 }
 
 RankState& cur() {
@@ -138,26 +153,31 @@ void block_until(RankState& rs, Pred pred) {
   }
 }
 
+bool all_done(const std::vector<Request>& reqs) {
+  return std::all_of(reqs.begin(), reqs.end(),
+                     [](const Request& r) { return r->done; });
+}
+
 // ---- Handlers ----------------------------------------------------------------
 
-void handle_p2p(converse::Message&& m) {
+void handle_p2p(Message&& m) {
   PeState& ps = *t_state;
-  auto msg = m.as<P2P>();
-  auto it = ps.ranks.find(msg.dest);
+  const P2PHeader h = header_of(m);
+  auto it = ps.ranks.find(h.dest);
+  if (it != ps.ranks.end() && match_posted(*it->second, m)) return;
+  Message* kept = converse::detail::retain_message(m);
+  const int believed = ps.rank_to_pe[static_cast<std::size_t>(h.dest)];
   if (it != ps.ranks.end()) {
-    deliver_local(*it->second, std::move(msg));
-    return;
-  }
-  const int believed = ps.rank_to_pe[static_cast<std::size_t>(msg.dest)];
-  if (believed == converse::my_pe()) {
+    it->second->unexpected.push_back(kept);
+  } else if (believed == converse::my_pe()) {
     // The rank is on its way here; hold the message for its arrival.
-    ps.held[msg.dest].push_back(std::move(msg));
+    ps.held[h.dest].push_back(kept);
   } else {
-    converse::send(believed, h_p2p, m.payload.take());
+    converse::detail::send_message(believed, h_p2p, kept);
   }
 }
 
-void handle_move(converse::Message&& m) {
+void handle_move(Message&& m) {
   // Runs on the source PE after the rank suspended itself inside
   // migrate()/migrate_to(): pack thread + runtime state, ship, dismantle.
   PeState& ps = *t_state;
@@ -174,7 +194,7 @@ void handle_move(converse::Message&& m) {
   image.rank = rs.rank;
   image.coll_seq = rs.coll_seq;
   image.mapping = ps.rank_to_pe;
-  image.unexpected.assign(rs.unexpected.begin(), rs.unexpected.end());
+  for (const Message* u : rs.unexpected) image.unexpected.push_back(u->payload);
   image.thread = rs.thread->pack();
 
   ps.by_thread.erase(rs.thread);
@@ -184,7 +204,7 @@ void handle_move(converse::Message&& m) {
   converse::send_value(dest, h_rank_arrive, image);
 }
 
-void handle_rank_arrive(converse::Message&& m) {
+void handle_rank_arrive(Message&& m) {
   PeState& ps = *t_state;
   auto image = m.as<RankImage>();
 
@@ -195,7 +215,11 @@ void handle_rank_arrive(converse::Message&& m) {
   rs->rank = image.rank;
   rs->coll_seq = image.coll_seq;
   rs->thread = thread;
-  rs->unexpected.assign(image.unexpected.begin(), image.unexpected.end());
+  for (converse::Payload& bytes : image.unexpected) {
+    Message* u = converse::detail::acquire_message(0);
+    u->payload = std::move(bytes);
+    rs->unexpected.push_back(u);
+  }
   // Adopt the (newer) directory that traveled with the rank — this is how a
   // previously rank-less PE learns the mapping.
   ps.rank_to_pe = image.mapping;
@@ -204,15 +228,16 @@ void handle_rank_arrive(converse::Message&& m) {
   ps.by_thread[thread] = raw;
   ps.ranks[image.rank] = std::move(rs);
 
-  // Deliver anything that arrived ahead of the rank.
-  if (auto held = ps.held.find(image.rank); held != ps.held.end()) {
-    for (auto& msg : held->second) deliver_local(*raw, std::move(msg));
-    ps.held.erase(held);
+  // Anything that arrived ahead of the rank queues behind what it carried
+  // (a rank never migrates with posted receives, so nothing matches yet).
+  if (auto held = ps.held.extract(image.rank)) {
+    raw->unexpected.insert(raw->unexpected.end(), held.mapped().begin(),
+                           held.mapped().end());
   }
   converse::ready_thread(thread);
 }
 
-void handle_all_done(converse::Message&&) {
+void handle_all_done(Message&&) {
   PeState& ps = *t_state;
   ps.all_done = true;
   if (ps.main_thread != nullptr &&
@@ -284,13 +309,12 @@ int do_migration(const std::vector<int>& new_mapping) {
   for (std::size_t r = 0; r < new_mapping.size(); ++r) {
     if (new_mapping[r] != old_mapping[r]) ++moved;
   }
-  ps.rank_to_pe = new_mapping;
+  ps.rank_to_pe = new_mapping;  // same size: no reallocation on the rank heap
 
   const int dest = new_mapping[static_cast<std::size_t>(rs.rank)];
   if (dest != converse::my_pe()) {
     rs.pending_dest = dest;
-    MoveMsg req{rs.rank};
-    converse::send_value(converse::my_pe(), h_move, req);
+    converse::send_value(converse::my_pe(), h_move, MoveMsg{rs.rank});
     converse::pe_scheduler().suspend();
     // ---- resumed on the destination PE ----
     cur().pending_dest = -1;
@@ -349,8 +373,7 @@ void run(const Options& options, std::function<void()> program) {
             }
           },
           pe, g_ampi->options.stack_bytes);
-      RankState* raw = rs.get();
-      state.by_thread[rs->thread] = raw;
+      state.by_thread[rs->thread] = rs.get();
       state.ranks[r] = std::move(rs);
     }
 
@@ -363,6 +386,7 @@ void run(const Options& options, std::function<void()> program) {
     while (!state.all_done) converse::pe_scheduler().suspend();
 
     // Tear down whatever ranks ended their lives on this PE.
+    MFC_CHECK_MSG(state.held.empty(), "ampi: held for a rank that never came");
     for (auto& [_, rs] : state.ranks) delete rs->thread;
     t_state = nullptr;
   });
@@ -381,64 +405,55 @@ int my_pe() {
 
 double wtime() { return wall_time(); }
 
-void send(const void* buf, std::size_t count, Dtype dt, int dest, int tag) {
-  RankState& rs = cur();
-  MFC_CHECK(dest >= 0 && dest < size());
-  MFC_CHECK_MSG(tag >= 0, "user tags must be non-negative");
-  const std::size_t bytes = count * dtype_size(dt);
-  P2P msg;
-  msg.src = rs.rank;
-  msg.dest = dest;
-  msg.tag = tag;
-  msg.bytes.assign(static_cast<const char*>(buf),
-                   static_cast<const char*>(buf) + bytes);
-  const int pe = t_state->rank_to_pe[static_cast<std::size_t>(dest)];
-  converse::send_value(pe, h_p2p, msg);
-}
-
 namespace {
 
-/// Internal send that allows negative (collective) tags.
+/// The send side's one copy: header and user bytes straight into a pooled
+/// envelope. Also carries the internal (negative) collective tags.
 void send_internal(RankState& rs, const void* buf, std::size_t bytes,
                    int dest, int tag) {
-  P2P msg;
-  msg.src = rs.rank;
-  msg.dest = dest;
-  msg.tag = tag;
-  msg.bytes.assign(static_cast<const char*>(buf),
-                   static_cast<const char*>(buf) + bytes);
+  Message* m = converse::detail::acquire_message(sizeof(P2PHeader) + bytes);
+  const P2PHeader h{rs.rank, dest, tag};
+  std::memcpy(m->payload.data(), &h, sizeof h);
+  if (bytes != 0) std::memcpy(m->payload.data() + sizeof h, buf, bytes);
   const int pe = t_state->rank_to_pe[static_cast<std::size_t>(dest)];
-  converse::send_value(pe, h_p2p, msg);
+  converse::detail::send_message(pe, h_p2p, m);
 }
 
+/// Matches the unexpected queue first (MPI arrival order), else posts. A
+/// blocking receive passes `local`, a request on the rank's own stack.
 Request irecv_impl(RankState& rs, void* buf, std::size_t max_bytes, int source,
-                   int tag) {
-  // Unexpected-queue scan first (MPI arrival-order matching).
+                   int tag, ReqState* local = nullptr) {
+  iso::SystemHeapScope system_heap;
+  Request req = local != nullptr ? Request(Request(), local)
+                                 : std::make_shared<ReqState>();
   for (auto it = rs.unexpected.begin(); it != rs.unexpected.end(); ++it) {
-    if (source_matches(source, it->src) && tag_matches(tag, it->tag)) {
-      auto req = std::make_shared<ReqState>();
-      MFC_CHECK_MSG(it->bytes.size() <= max_bytes,
-                    "ampi: message longer than receive buffer");
-      std::memcpy(buf, it->bytes.data(), it->bytes.size());
-      req->status = Status{it->src, it->tag, it->bytes.size()};
-      req->done = true;
+    if (matches(source, tag, header_of(**it))) {
+      copy_out(**it, buf, max_bytes, *req);
+      converse::detail::release_message(*it);
       rs.unexpected.erase(it);
       return req;
     }
   }
-  auto req = std::make_shared<ReqState>();
   rs.posted.push_back(PostedRecv{buf, max_bytes, source, tag, req});
   return req;
 }
 
 void recv_internal(RankState& rs, void* buf, std::size_t max_bytes, int source,
                    int tag, Status* status) {
-  Request req = irecv_impl(rs, buf, max_bytes, source, tag);
-  block_until(rs, [&] { return req->done; });
-  if (status != nullptr) *status = req->status;
+  ReqState req;
+  irecv_impl(rs, buf, max_bytes, source, tag, &req);
+  block_until(rs, [&] { return req.done; });
+  if (status != nullptr) *status = req.status;
 }
 
 }  // namespace
+
+void send(const void* buf, std::size_t count, Dtype dt, int dest, int tag) {
+  RankState& rs = cur();
+  MFC_CHECK(dest >= 0 && dest < size());
+  MFC_CHECK_MSG(tag >= 0, "user tags must be non-negative");
+  send_internal(rs, buf, count * dtype_size(dt), dest, tag);
+}
 
 void recv(void* buf, std::size_t count, Dtype dt, int source, int tag,
           Status* status) {
@@ -447,11 +462,8 @@ void recv(void* buf, std::size_t count, Dtype dt, int source, int tag,
 
 Request isend(const void* buf, std::size_t count, Dtype dt, int dest,
               int tag) {
-  // Eager buffered send: complete immediately (the payload is copied).
   send(buf, count, dt, dest, tag);
-  auto req = std::make_shared<ReqState>();
-  req->done = true;
-  return req;
+  return Request(Request(), &g_send_done);
 }
 
 Request irecv(void* buf, std::size_t count, Dtype dt, int source, int tag) {
@@ -465,13 +477,7 @@ void wait(const Request& request, Status* status) {
 }
 
 void wait_all(std::vector<Request>& requests) {
-  RankState& rs = cur();
-  block_until(rs, [&] {
-    for (const auto& r : requests) {
-      if (!r->done) return false;
-    }
-    return true;
-  });
+  block_until(cur(), [&] { return all_done(requests); });
 }
 
 bool test(const Request& request, Status* status) {
@@ -484,11 +490,11 @@ void sendrecv(const void* sendbuf, std::size_t sendcount, Dtype dt, int dest,
               int sendtag, void* recvbuf, std::size_t recvcount, int source,
               int recvtag, Status* status) {
   RankState& rs = cur();
-  Request rreq =
-      irecv_impl(rs, recvbuf, recvcount * dtype_size(dt), source, recvtag);
+  ReqState rreq;
+  irecv_impl(rs, recvbuf, recvcount * dtype_size(dt), source, recvtag, &rreq);
   send(sendbuf, sendcount, dt, dest, sendtag);
-  block_until(rs, [&] { return rreq->done; });
-  if (status != nullptr) *status = rreq->status;
+  block_until(rs, [&] { return rreq.done; });
+  if (status != nullptr) *status = rreq.status;
 }
 
 void barrier() {
@@ -609,12 +615,7 @@ void alltoall(const void* sendbuf, std::size_t count, Dtype dt,
     if (r == rs.rank) continue;
     send_internal(rs, in + static_cast<std::size_t>(r) * bytes, bytes, r, tag);
   }
-  block_until(rs, [&] {
-    for (const auto& q : reqs) {
-      if (!q->done) return false;
-    }
-    return true;
-  });
+  block_until(rs, [&] { return all_done(reqs); });
 }
 
 void yield() {
@@ -652,27 +653,24 @@ int migrate() {
 }
 
 void migrate_to(int dest_pe) {
-  RankState& rs = cur();
+  cur();
   MFC_CHECK(dest_pe >= 0 && dest_pe < converse::num_pes());
-  const int n = size();
   // Collect everyone's destination so all PEs learn the same new mapping.
-  std::vector<int> mapping(static_cast<std::size_t>(n), 0);
+  std::vector<int> mapping(static_cast<std::size_t>(size()), 0);
   allgather(&dest_pe, 1, Dtype::kInt, mapping.data());
-  (void)rs;
   barrier();
   do_migration(mapping);
 }
 
 void evacuate(int failing_pe) {
-  RankState& rs = cur();
+  cur();
   const int npes = converse::num_pes();
   MFC_CHECK(failing_pe >= 0 && failing_pe < npes);
   MFC_CHECK_MSG(npes > 1, "cannot evacuate the only PE");
   // Deterministic replacement: displaced rank k (k-th resident of the
   // failing PE, by rank order) moves to the k-th PE of the survivors,
   // round-robin. Every rank computes the same mapping locally.
-  const std::vector<int> current = t_state->rank_to_pe;
-  std::vector<int> mapping = current;
+  std::vector<int> mapping = t_state->rank_to_pe;
   int displaced = 0;
   for (std::size_t r = 0; r < mapping.size(); ++r) {
     if (mapping[r] != failing_pe) continue;
@@ -680,7 +678,6 @@ void evacuate(int failing_pe) {
     if (slot >= failing_pe) ++slot;  // skip the failing PE
     mapping[r] = slot;
   }
-  (void)rs;
   barrier();  // everyone computed the mapping from the same directory
   do_migration(mapping);
 }

@@ -76,10 +76,21 @@ struct ContribMsg {
 converse::HandlerId h_route, h_locate, h_departed, h_arrive, h_settled,
     h_contribute;
 
-ArrayBase& array_for(int id) {
+/// Array message kinds, the late-drop record's `c`.
+enum LateKind : std::uint8_t { kLocate, kRoute, kDepart, kArrive, kSettle,
+                               kContrib };
+
+/// The array `id` on this PE, or null once this PE destroyed it. Traffic
+/// still in flight then is dropped: a LocateMsg silently (it is only a
+/// hint), anything else counted with a flight-recorder note.
+ArrayBase* array_for(int id, LateKind kind) {
   auto it = t_arrays.find(id);
-  MFC_CHECK_MSG(it != t_arrays.end(), "message for unknown array on this PE");
-  return *it->second;
+  if (it != t_arrays.end()) return it->second;
+  if (kind != kLocate) {
+    probe::emit(probe::Ev::kElemLateDrop, 0, static_cast<std::uint32_t>(id),
+                0, -1, kind);
+  }
+  return nullptr;
 }
 
 void register_array_handlers() {
@@ -87,32 +98,40 @@ void register_array_handlers() {
   std::call_once(once, [] {
     h_route = converse::register_handler([](converse::Message&& m) {
       auto msg = m.as<RouteMsg>();
-      ArrayHandlers::route(array_for(msg.array_id), msg.index, msg.tag,
-                           msg.origin, msg.hops, std::move(msg.inner));
+      if (ArrayBase* a = array_for(msg.array_id, kRoute)) {
+        ArrayHandlers::route(*a, msg.index, msg.tag, msg.origin, msg.hops,
+                             std::move(msg.inner));
+      }
     });
     h_locate = converse::register_handler([](converse::Message&& m) {
       auto msg = m.as<LocateMsg>();
-      ArrayHandlers::locate(array_for(msg.array_id), msg.index, msg.pe,
-                            msg.epoch);
+      if (ArrayBase* a = array_for(msg.array_id, kLocate)) {
+        ArrayHandlers::locate(*a, msg.index, msg.pe, msg.epoch);
+      }
     });
     h_departed = converse::register_handler([](converse::Message&& m) {
       auto msg = m.as<DepartMsg>();
-      ArrayHandlers::departed(array_for(msg.array_id), msg.index, msg.epoch);
+      if (ArrayBase* a = array_for(msg.array_id, kDepart)) {
+        ArrayHandlers::departed(*a, msg.index, msg.epoch);
+      }
     });
     h_arrive = converse::register_handler([](converse::Message&& m) {
       auto msg = m.as<ArriveMsg>();
-      ArrayHandlers::arrive(array_for(msg.array_id), msg.index, msg.epoch,
-                            msg.state);
+      if (ArrayBase* a = array_for(msg.array_id, kArrive)) {
+        ArrayHandlers::arrive(*a, msg.index, msg.epoch, msg.state);
+      }
     });
     h_settled = converse::register_handler([](converse::Message&& m) {
       auto msg = m.as<SettleMsg>();
-      ArrayHandlers::settled(array_for(msg.array_id), msg.index, msg.pe,
-                             msg.epoch);
+      if (ArrayBase* a = array_for(msg.array_id, kSettle)) {
+        ArrayHandlers::settled(*a, msg.index, msg.pe, msg.epoch);
+      }
     });
     h_contribute = converse::register_handler([](converse::Message&& m) {
       auto msg = m.as<ContribMsg>();
-      ArrayHandlers::contribute(array_for(msg.array_id), msg.reduction_id,
-                                msg.value);
+      if (ArrayBase* a = array_for(msg.array_id, kContrib)) {
+        ArrayHandlers::contribute(*a, msg.reduction_id, msg.value);
+      }
     });
   });
 }

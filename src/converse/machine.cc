@@ -19,6 +19,7 @@
 #include <unordered_map>
 
 #include "converse/transport.h"
+#include "iso/heap.h"
 #include "trace/probe.h"
 #include "util/check.h"
 #include "util/log.h"
@@ -104,6 +105,9 @@ struct Pe {
   std::uint64_t barrier_gen = 0;
   std::vector<ult::Thread*> quiescence_waiters;
   MsgPool pool;
+  /// Set by detail::retain_message: the running dispatch skips releasing
+  /// this envelope (nested inline dispatches save and restore it).
+  Message* retained = nullptr;
   int inline_depth = 0;
   std::vector<Delayed> delayed;  // chaos delivery-delay stash
   std::uint64_t tick = 0;        // loop-iteration clock for `delayed`
@@ -447,9 +451,16 @@ void dispatch(Message* m) {
       probe::Ev::kHandlerBegin, m->trace_flow, h,
       static_cast<std::uint32_t>(m->payload.size()),
       static_cast<std::int16_t>(m->src_pe), 0, m->stamp);
+  Pe* const pe = t_pe;
+  Message* const outer = pe->retained;
+  pe->retained = nullptr;
   (*fn)(std::move(*m));
   probe::emit(probe::Ev::kHandlerEnd, 0, h, 0, -1, 0, t0);
-  release_message(m);
+  // A retained envelope may already sit in another PE's queue: never touch
+  // it here.
+  const bool kept = pe->retained == m;
+  pe->retained = outer;
+  if (!kept) release_message(m);
 }
 
 /// Dispatches every stashed message whose due tick has passed, in stash
@@ -1406,6 +1417,7 @@ namespace detail {
 
 Message* acquire_message(std::size_t payload_bytes) {
   MFC_CHECK(g_machine != nullptr);
+  iso::SystemHeapScope system_heap;
   Message* m = t_pe != nullptr ? pool_acquire(t_pe) : create_message();
   m->payload.resize(payload_bytes);
   return m;
@@ -1417,6 +1429,7 @@ void send_message(int dest_pe, HandlerId handler, Message* m) {
   // A ULT can lose the processor right at a send boundary — the classic
   // window where a racing handler observes half-updated thread state.
   chaos::preempt_point("converse.send");
+  iso::SystemHeapScope system_heap;  // after the preempt point: no switch
   m->handler = handler;
   m->src_pe = t_pe != nullptr ? t_pe->id : -1;
   m->dest_pe = dest_pe;
@@ -1461,6 +1474,17 @@ void send_message(int dest_pe, HandlerId handler, Message* m) {
   enqueue_or_inline(dest_pe, m);
 }
 
+Message* retain_message(Message& m) {
+  MFC_CHECK_MSG(t_pe != nullptr, "retain_message outside a handler");
+  t_pe->retained = &m;
+  return &m;
+}
+
+void release_message(Message* m) {
+  iso::SystemHeapScope system_heap;
+  converse::release_message(m);
+}
+
 }  // namespace detail
 
 void send(int dest_pe, HandlerId handler, std::vector<char> payload) {
@@ -1474,6 +1498,7 @@ void send_spans(int dest_pe, HandlerId handler, const SendSpan* spans,
   MFC_CHECK(g_machine != nullptr);
   MFC_CHECK(dest_pe >= 0 && dest_pe < g_machine->npes);
   chaos::preempt_point("converse.send");
+  iso::SystemHeapScope system_heap;
   const int src = t_pe != nullptr ? t_pe->id : -1;
   const std::size_t total = wire::spans_total(spans, nspans);
   std::uint64_t flow = 0;

@@ -217,8 +217,19 @@ namespace detail {
 /// Pooled-message internals backing send_value/broadcast: acquires a
 /// message whose payload buffer is recycled from the calling PE's pool
 /// (sized to `payload_bytes`), and hands a filled message to the router.
+/// Both take their buffers from the system allocator even when called
+/// inside a migratable thread (iso::SystemHeapScope).
 Message* acquire_message(std::size_t payload_bytes);
 void send_message(int dest_pe, HandlerId handler, Message* m);
+
+/// Keeps the message a handler is dispatching alive past the handler's
+/// return: dispatch skips its release, and the caller owns the envelope
+/// until it hands it to send_message (forwarding reuses it as is) or to
+/// release_message. Only valid on the message being dispatched.
+Message* retain_message(Message& m);
+/// Recycles a retained (or acquired, unsent) envelope into the calling
+/// PE's pool.
+void release_message(Message* m);
 }  // namespace detail
 
 /// Packs `value` with one Sizer-measured pass directly into a pooled

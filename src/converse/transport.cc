@@ -406,10 +406,12 @@ class ShmTransport final : public Transport {
   /// Pops every visible frame toward this process; returns the count.
   /// Caller holds the consumer token.
   std::uint64_t drain_held() {
-    if (closed_) return 0;
     // Clear before the scan: a frame published after this store sets the
-    // flag again, one published before it is visible to the scan.
+    // flag again, one published before it is visible to the scan. Cleared
+    // after the final sweep too, else a late frame's flag would keep
+    // drain_then_give re-taking the token forever.
     seg_.doorbell(my_proc_).pending.store(0, std::memory_order_seq_cst);
+    if (closed_) return 0;
     probe::WireScope wire;
     std::uint64_t frames = 0;
     for (std::size_t s = 0; s < inbound_.size(); ++s)

@@ -90,6 +90,8 @@ ThreadHeap::ArenaHeader* ThreadHeap::add_arena(std::uint32_t slot_count) {
   block->free_flag = 1;
   block->magic = kBlockMagic;
   arena->first = block;
+  // The bookkeeping vectors must not grow inside the heap they describe.
+  SystemHeapScope system_heap;
   slots_.push_back(id);
   arenas_.push_back(arena);
   return arena;
@@ -222,12 +224,7 @@ std::size_t ThreadHeap::allocation_count() const {
 
 // ---- Thread-context routing -------------------------------------------------
 
-namespace {
-thread_local ThreadHeap* t_current_heap = nullptr;
-}
-
-ThreadHeap* current_heap() { return t_current_heap; }
-void set_current_heap(ThreadHeap* heap) { t_current_heap = heap; }
+using detail::t_current_heap;
 
 void* routed_malloc(std::size_t size) {
   if (ThreadHeap* heap = t_current_heap) {

@@ -81,8 +81,29 @@ class ThreadHeap {
 /// Null means "not in a migratable-thread context": allocation falls through
 /// to the system allocator, exactly as the paper routes communication-layer
 /// mallocs to the normal libc version.
-ThreadHeap* current_heap();
-void set_current_heap(ThreadHeap* heap);
+namespace detail {
+inline thread_local ThreadHeap* t_current_heap = nullptr;
+}
+inline ThreadHeap* current_heap() { return detail::t_current_heap; }
+inline void set_current_heap(ThreadHeap* heap) {
+  detail::t_current_heap = heap;
+}
+
+/// Routes this kernel thread's allocations to the system allocator for the
+/// scope's lifetime. Runtime-owned buffers (message envelopes, queue
+/// storage, request blocks) made from inside a migratable thread must not
+/// land on that thread's heap: they outlive its slots or stay behind when
+/// it migrates. The scope must not span a context switch.
+class SystemHeapScope {
+ public:
+  SystemHeapScope() : saved_(current_heap()) { set_current_heap(nullptr); }
+  ~SystemHeapScope() { set_current_heap(saved_); }
+  SystemHeapScope(const SystemHeapScope&) = delete;
+  SystemHeapScope& operator=(const SystemHeapScope&) = delete;
+
+ private:
+  ThreadHeap* saved_;
+};
 
 /// Routed allocation entry points: use current_heap() when set, else libc.
 /// free() routes by address (isomalloc region test), so pointers can be

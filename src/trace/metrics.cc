@@ -31,6 +31,7 @@ const char* to_string(Counter c) {
     case Counter::kElemMigrations: return "elem-migrations";
     case Counter::kElemForwards: return "elem-forwards";
     case Counter::kElemLocates: return "elem-locates";
+    case Counter::kElemLateDrops: return "elem-late-drops";
     case Counter::kLbMigrations: return "lb-migrations";
     case Counter::kChaosInjections: return "chaos-injections";
     case Counter::kFtSent: return "ft-sent";

@@ -40,6 +40,7 @@ enum class Counter : int {
   kElemMigrations,  ///< chare-array element departures
   kElemForwards,    ///< element-message hops that did not deliver
   kElemLocates,     ///< location updates sent to a misrouted message's origin
+  kElemLateDrops,   ///< array messages dropped: the array was destroyed here
   kLbMigrations,    ///< migrations ordered by the LB strategy
   kChaosInjections,
   // Fault tolerance (ft layer). Sent/delivered mirror the QD pair: FT

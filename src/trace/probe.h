@@ -96,6 +96,8 @@ constexpr EvInfo info(Ev ev) {
       return {.tally = {{Counter::kElemMigrations}}, .flight = true};
     case Ev::kElemReroute:  // c = 1 forwarded, 2 locate update sent
       return {.tally = {{Counter::kElemForwards, By::kPick, 2}}};
+    case Ev::kElemLateDrop:
+      return {.tally = {{Counter::kElemLateDrops}}, .flight = true};
     case Ev::kLbDecision:  // a = migrations ordered
       return {.tally = {{Counter::kLbMigrations, By::kA}}, .flight = true};
     case Ev::kChaosInject:

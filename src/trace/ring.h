@@ -55,6 +55,8 @@ enum class Ev : std::uint8_t {
   kElemReroute,         ///< element message not delivered directly (a=index,
                         ///< arg=hops; c=1 forwarded to b, or buffered at the
                         ///< home when b=-1; c=2 locate sent to origin b)
+  kElemLateDrop,        ///< message for an array this PE already destroyed,
+                        ///< dropped (a=array id, c=array message kind)
   kCount,
 };
 constexpr int kEvCount = static_cast<int>(Ev::kCount);

@@ -316,6 +316,15 @@ void export_records(JsonWriter& w, const Record* recs, std::size_t n,
         w.args_end();
         w.done();
         break;
+      case Ev::kElemLateDrop:
+        w.event("elem-late-drop", 'i', tid, ns);
+        w.raw("s", "\"t\"");
+        w.args_begin();
+        w.arg_num("array", r.a, true);
+        w.arg_num("kind", r.c);
+        w.args_end();
+        w.done();
+        break;
       case Ev::kUltCreate:
       case Ev::kUltSuspend:
       case Ev::kUltResume: {
@@ -772,6 +781,7 @@ const char* to_string(Ev ev) {
     case Ev::kFtProcDown: return "ft-proc-down";
     case Ev::kFtProcRespawn: return "ft-proc-respawn";
     case Ev::kElemReroute: return "elem-reroute";
+    case Ev::kElemLateDrop: return "elem-late-drop";
     case Ev::kCount: break;
   }
   return "?";

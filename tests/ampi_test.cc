@@ -7,6 +7,8 @@
 #include <numeric>
 #include <vector>
 
+#include "iso/heap.h"
+
 namespace {
 
 namespace ampi = mfc::ampi;
@@ -290,6 +292,182 @@ TEST(Ampi, ManyRanksFewPes) {
     grand.fetch_add(1);
   });
   EXPECT_EQ(grand.load(), 64);
+}
+
+// ---- Wire-format edges ------------------------------------------------------
+//
+// A point-to-point message travels as a 12-byte {src, dest, tag} header plus
+// the user bytes in one pooled envelope, inline up to 64 bytes in all.
+
+/// Byte `i` of the pattern rank `src` sends in message `seq`.
+char pattern(int src, int seq, std::size_t i) {
+  return static_cast<char>((src * 131 + seq * 17 + static_cast<int>(i)) & 0x7f);
+}
+
+bool pattern_ok(const std::vector<char>& buf, std::size_t n, int src,
+                int seq) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (buf[i] != pattern(src, seq, i)) return false;
+  }
+  return true;
+}
+
+TEST(Ampi, ZeroByteMessagesPostedAndUnexpected) {
+  ampi::run(opts(2, 2), [] {
+    const int r = ampi::rank();
+    if (r == 0) {
+      ampi::barrier();  // rank 1 posted its first receive
+      ampi::send(nullptr, 0, ampi::Dtype::kByte, 1, 3);
+      ampi::send(nullptr, 0, ampi::Dtype::kByte, 1, 4);
+      ampi::barrier();
+    } else {
+      ampi::Request posted = ampi::irecv(nullptr, 0, ampi::Dtype::kByte, 0, 3);
+      ampi::barrier();
+      ampi::barrier();  // the second message is now unexpected
+      ampi::Status st;
+      ampi::wait(posted, &st);
+      EXPECT_EQ(st.bytes, 0u);
+      EXPECT_EQ(st.tag, 3);
+      ampi::recv(nullptr, 0, ampi::Dtype::kByte, 0, ampi::kAnyTag, &st);
+      EXPECT_EQ(st.bytes, 0u);
+      EXPECT_EQ(st.source, 0);
+      EXPECT_EQ(st.tag, 4);
+    }
+  });
+}
+
+TEST(Ampi, PayloadsAroundTheInlineLimit) {
+  // 52 + 12 header bytes fill the inline buffer exactly; 53 spills. 64 and
+  // 65 check the spill path once more, and 1 MiB a large heap payload.
+  static const std::size_t kSizes[] = {1, 52, 53, 64, 65, 1 << 20};
+  ampi::run(opts(3, 2), [] {
+    const int r = ampi::rank();
+    const int n = ampi::size();
+    std::vector<char> buf(1 << 20);
+    int seq = 0;
+    for (std::size_t bytes : kSizes) {
+      for (int posted_first = 0; posted_first < 2; ++posted_first, ++seq) {
+        const int from = (r + n - 1) % n;
+        ampi::Request req;
+        if (posted_first) {
+          req = ampi::irecv(buf.data(), bytes, ampi::Dtype::kByte, from, seq);
+        }
+        ampi::barrier();
+        std::vector<char> out(bytes);
+        for (std::size_t i = 0; i < bytes; ++i) out[i] = pattern(r, seq, i);
+        ampi::send(out.data(), bytes, ampi::Dtype::kByte, (r + 1) % n, seq);
+        ampi::barrier();  // unexpected legs: the message has landed
+        ampi::Status st;
+        if (posted_first) {
+          ampi::wait(req, &st);
+        } else {
+          ampi::recv(buf.data(), buf.size(), ampi::Dtype::kByte, from, seq,
+                     &st);
+        }
+        EXPECT_EQ(st.bytes, bytes);
+        EXPECT_EQ(st.source, from);
+        EXPECT_TRUE(pattern_ok(buf, bytes, from, seq)) << bytes << " bytes";
+      }
+    }
+  });
+}
+
+TEST(AmpiDeath, MessageLongerThanThePostedBuffer) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(ampi::run(opts(2, 1),
+                         [] {
+                           long big[4] = {1, 2, 3, 4};
+                           if (ampi::rank() == 0) {
+                             ampi::send(big, 4, 1, 0);
+                           } else {
+                             long small[2];
+                             ampi::recv(small, 2, 0, 0);
+                           }
+                         }),
+               "longer than receive buffer");
+}
+
+TEST(Ampi, MessagesHeldThroughTheTransitWindow) {
+  // Rank 0, the barrier root, moves with an 8 MiB isomalloc heap while the
+  // other ranks go straight on into do_migration's barrier: their tokens
+  // name rank 0's new PE, reach it while rank 0 is still being packed and
+  // shipped, and wait there (the held path) until it arrives.
+  ampi::run(opts(4, 2), [] {
+    const int r = ampi::rank();
+    constexpr std::size_t kBallast = std::size_t{1} << 20;
+    auto* ballast = static_cast<double*>(
+        mfc::iso::routed_malloc((r == 0 ? kBallast : 1) * sizeof(double)));
+    for (std::size_t i = 0; i < (r == 0 ? kBallast : 1); ++i) ballast[i] = 2.5;
+    for (int round = 0; round < 3; ++round) {
+      const int dest = r == 0 ? (ampi::my_pe() + 1) % 2 : ampi::my_pe();
+      ampi::migrate_to(dest);
+      EXPECT_EQ(ampi::my_pe(), dest);
+      int token = r * 10 + round, got = -1;
+      ampi::Status st;
+      ampi::sendrecv(&token, 1, ampi::Dtype::kInt, (r + 1) % 4, round, &got,
+                     1, (r + 3) % 4, round, &st);
+      EXPECT_EQ(got, ((r + 3) % 4) * 10 + round);
+    }
+    EXPECT_EQ(ballast[r == 0 ? kBallast - 1 : 0], 2.5);
+    mfc::iso::routed_free(ballast);
+  });
+}
+
+TEST(Ampi, WildcardOrderingAcrossPostedAndUnexpected) {
+  // Rank 0 posts some wildcard receives before the senders start and picks
+  // up the rest after everything landed: per sender, the sequence numbers
+  // must still come out in send order (MPI non-overtaking).
+  static constexpr int kPerSender = 30;
+  static constexpr int kPosted = 12;
+  ampi::run(opts(4, 2), [] {
+    const int r = ampi::rank();
+    const int n = ampi::size();
+    if (r != 0) {
+      ampi::barrier();
+      for (int seq = 0; seq < kPerSender; ++seq) {
+        ampi::send(&seq, 1, 0, /*tag=*/seq % 3);
+      }
+      ampi::barrier();
+      return;
+    }
+    std::vector<int> got(kPosted, -1);
+    std::vector<ampi::Request> posted;
+    for (int i = 0; i < kPosted; ++i) {
+      posted.push_back(ampi::irecv(&got[static_cast<std::size_t>(i)], 1,
+                                   ampi::Dtype::kInt, ampi::kAnySource,
+                                   ampi::kAnyTag));
+    }
+    ampi::barrier();
+    ampi::barrier();  // every message has landed
+    std::vector<int> next(static_cast<std::size_t>(n), 0);
+    auto take = [&](int value, const ampi::Status& st) {
+      ASSERT_GT(st.source, 0);
+      EXPECT_EQ(value, next[static_cast<std::size_t>(st.source)]++);
+      EXPECT_EQ(st.tag, value % 3);
+    };
+    for (int i = 0; i < kPosted; ++i) {
+      ampi::Status st;
+      ampi::wait(posted[static_cast<std::size_t>(i)], &st);
+      take(got[static_cast<std::size_t>(i)], st);
+    }
+    for (int i = kPosted; i < (n - 1) * kPerSender; ++i) {
+      // Alternate a wildcard with a named sender that still has messages.
+      int src = ampi::kAnySource;
+      for (int s = 1; i % 2 == 1 && s < n; ++s) {
+        if (next[static_cast<std::size_t>(s)] < kPerSender) {
+          src = s;
+          break;
+        }
+      }
+      int value = -1;
+      ampi::Status st;
+      ampi::recv(&value, 1, src, ampi::kAnyTag, &st);
+      take(value, st);
+    }
+    for (int s = 1; s < n; ++s) {
+      EXPECT_EQ(next[static_cast<std::size_t>(s)], kPerSender);
+    }
+  });
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <mutex>
 
 #include "converse/machine.h"
@@ -428,6 +429,27 @@ TEST(Charm, SendsLandAfterRollbackRestore) {
   });
   EXPECT_EQ(residents.load(), kElems);
   EXPECT_EQ(total.load(), kElems * 4 * (1 + 1000));
+}
+
+TEST(Charm, LateMessageForADestroyedArrayIsDropped) {
+  // PE 1 destroys its copy of the array before PE 0's message for element
+  // 1 (homed on PE 1) arrives there: the message is counted and dropped,
+  // and the machine keeps running.
+  cv::Machine::Config cfg;
+  cfg.npes = 2;
+  cv::Machine::run(cfg, [&](int pe) {
+    auto arr = std::make_unique<Array<Counter>>(7, 2);
+    cv::barrier();
+    if (pe == 1) arr.reset();
+    cv::barrier();
+    if (pe == 0) {
+      int v = 5;
+      arr->send_value(1, 0, v);
+      arr.reset();
+    }
+    cv::wait_quiescence();
+  });
+  EXPECT_EQ(mfc::metrics::total(mfc::metrics::Counter::kElemLateDrops), 1u);
 }
 
 }  // namespace

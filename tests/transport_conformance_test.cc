@@ -21,6 +21,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -29,6 +30,7 @@
 
 #include "chaos/storm.h"
 #include "converse/machine.h"
+#include "converse/transport.h"
 #include "migrate/common_arena.h"
 #include "migrate/iso_thread.h"
 #include "migrate/memalias_thread.h"
@@ -341,6 +343,63 @@ TEST(TransportConformance, ShmLoopbackPingPongWakesReceiver) {
 #ifndef MFC_TSAN
   EXPECT_LT(best * 1e6, kMaxHopUs);
 #endif
+}
+
+// ---- Shutdown: a frame published after the final sweep -------------------
+//
+// The comm thread's last sweep closes the rings to PE drains. A frame that a
+// straggling sender publishes after that sets the doorbell's pending flag
+// again; a PE draining then must still return to its stop check (it once
+// re-took the consumer token forever, pinning the PE at 100% CPU).
+
+TEST(TransportConformance, ShmDrainReturnsAfterFinalSweep) {
+  namespace tp = cv::transport;
+  tp::Options o;
+  o.npes = 2;
+  auto wire = tp::make_shm_transport(o);
+  std::atomic<int> delivered{0};
+  tp::Hooks hooks;
+  hooks.alloc = [](const cv::wire::Header&, std::uint64_t n) {
+    auto* m = new cv::Message();
+    m->payload.resize(n);
+    return m;
+  };
+  hooks.enqueue = [&](cv::Message* m) {
+    delivered.fetch_add(1);
+    delete m;
+  };
+  hooks.drop = [](cv::Message* m) { delete m; };
+  hooks.wake_pe = [](int) {};
+  wire->start(0, std::move(hooks));
+  wire->stop_local();
+  wire->join();  // the comm thread's final sweep has run
+
+  namespace wr = mfc::converse::wire;
+  wr::Header h;
+  h.kind = static_cast<std::uint32_t>(wr::Kind::kEager);
+  h.src_pe = 1;
+  h.dest_pe = 0;
+  const char byte = 7;
+  const wr::Span span{&byte, 1};
+  h.payload_len = h.total_len = 1;
+  wire->send(h, &span, 1, nullptr);
+  ASSERT_TRUE(wire->inbound_pending());
+
+  std::promise<bool> drained;
+  std::future<bool> result = drained.get_future();
+  std::thread pe([&wire, &drained] {
+    drained.set_value(wire->drain_inbound());
+  });
+  if (result.wait_for(std::chrono::seconds(10)) !=
+      std::future_status::ready) {
+    pe.detach();  // still spinning: leak it, the verdict is in
+    wire.release();
+    FAIL() << "drain_inbound() never returned after the final sweep";
+  }
+  pe.join();
+  EXPECT_FALSE(result.get()) << "a closed wire delivers nothing";
+  EXPECT_FALSE(wire->inbound_pending()) << "idle PEs would spin on the flag";
+  EXPECT_EQ(delivered.load(), 0);
 }
 
 // ---- Big-payload round trip -------------------------------------------------
